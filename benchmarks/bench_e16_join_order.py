@@ -19,8 +19,8 @@ import pytest
 
 from repro.core.database import Database
 from repro.core.parser import parse_program
+from repro.engine.model import PerfectModelEngine
 from repro.engine.topdown import TopDownEngine
-from repro.engine.stratified import perfect_model
 
 # Adversarial textual order: the wide cross-product pair first, the
 # selective guard last.
@@ -64,8 +64,11 @@ def test_stratified_substrate_join_order(benchmark, mode):
     db = workload(30)
 
     def run():
-        model = perfect_model(BAD_ORDER, db, optimize_joins=mode)
-        return model.count("hit")
+        # Interpreted joins: the planner's order is what gets timed.
+        engine = PerfectModelEngine(
+            BAD_ORDER, optimize_joins=mode, compile="off"
+        )
+        return sum(1 for item in engine.model(db) if item.predicate == "hit")
 
     assert benchmark(run) == 1
 

@@ -15,8 +15,8 @@ Two questions, one bench file:
    and greedy's textual tie-break picks the huge relation first,
    forcing a cross product.  The cost planner reads live relation sizes
    and starts from the small guard.  Asserted: cost strictly faster
-   than greedy on both the stratified substrate and the top-down
-   engine.
+   than greedy on both the bottom-up model engine (interpreted joins,
+   ``compile="off"``) and the top-down engine.
 """
 
 import time
@@ -29,7 +29,7 @@ from repro.analysis.modes import analyze_modes
 from repro.bench import random_layered_rulebase
 from repro.core.database import Database
 from repro.core.parser import parse_program
-from repro.engine.stratified import perfect_model
+from repro.engine.model import PerfectModelEngine
 from repro.engine.topdown import TopDownEngine
 
 LIBRARY_RULEBASES = {
@@ -130,12 +130,18 @@ def trap_db(n_blow: int = 200, n_guard: int = 50) -> Database:
 EXPECTED = {(f"g{index}",) for index in range(50)}
 
 
+def bottom_up_model(mode, db):
+    engine = PerfectModelEngine(CROSS_TRAP, optimize_joins=mode, compile="off")
+    return engine.model(db)
+
+
 @pytest.mark.parametrize("mode", ["cost", "greedy"], ids=["cost", "greedy"])
 def test_stratified_cross_trap(benchmark, mode):
     db = trap_db()
 
     def run():
-        return perfect_model(CROSS_TRAP, db, optimize_joins=mode).count("hit")
+        model = bottom_up_model(mode, db)
+        return sum(1 for item in model if item.predicate == "hit")
 
     assert benchmark(run) == 50
 
@@ -156,9 +162,9 @@ def test_cost_beats_greedy(benchmark):
     """The who-wins assertion, measured inline on one instance."""
     db = trap_db()
 
-    def stratified_seconds(mode) -> float:
+    def bottom_up_seconds(mode) -> float:
         start = time.perf_counter()
-        perfect_model(CROSS_TRAP, db, optimize_joins=mode)
+        bottom_up_model(mode, db)
         return time.perf_counter() - start
 
     def topdown_seconds(mode) -> float:
@@ -168,8 +174,8 @@ def test_cost_beats_greedy(benchmark):
 
     def run():
         return (
-            stratified_seconds("cost"),
-            stratified_seconds("greedy"),
+            bottom_up_seconds("cost"),
+            bottom_up_seconds("greedy"),
             topdown_seconds("cost"),
             topdown_seconds("greedy"),
         )

@@ -28,7 +28,7 @@ def test_chain_prove_engine(benchmark, n, attach_metrics):
         return result, prover
 
     result, prover = benchmark(run)
-    goals = prover.stats.sigma_goals
+    goals = prover.metrics.counter("prove.sigma_goals").value
     assert result is True
     # Linear recursion => goal count linear in n (with a small constant).
     assert goals <= 4 * n + 8

@@ -33,7 +33,7 @@ def test_proof_sequence_length_linear_on_chains(benchmark, n):
     def run():
         prover = LinearStratifiedProver(rulebase)
         prover.ask(Database(), "a1")
-        return prover.stats.sigma_goals
+        return prover.metrics.counter("prove.sigma_goals").value
 
     goals = benchmark(run)
     assert goals <= 4 * n + 8  # Theorem 3: polynomial (here linear)
@@ -54,7 +54,8 @@ def test_theorem3_envelope(benchmark, size):
     def run():
         prover = LinearStratifiedProver(rulebase, stratification)
         prover.ask(db, "even")
-        return prover.stats.sigma_goals, len(prover.domain(db))
+        goals = prover.metrics.counter("prove.sigma_goals").value
+        return goals, len(prover.domain(db))
 
     goals, domain_size = benchmark(run)
     bound = proof_sequence_bound(stratification, 1, domain_size)
@@ -71,7 +72,7 @@ def test_proof_sequence_length_on_order_walks(benchmark, n):
     def run():
         prover = LinearStratifiedProver(rulebase)
         prover.ask(db, "a")
-        return prover.stats.sigma_goals
+        return prover.metrics.counter("prove.sigma_goals").value
 
     goals = benchmark(run)
     assert goals <= 4 * n * n + 16

@@ -4,9 +4,9 @@ Three related notions live here:
 
 * **Stratified negation** in the classic Apt-Blair-Walker sense
   (:func:`negation_strata`): no recursion through negation.  Used for
-  the Horn-with-negation substrate, for the reference model engine
-  (which treats hypothetical dependencies like positive ones), and for
-  the internal layering of each Delta segment.
+  the reference model engine (which treats hypothetical dependencies
+  like positive ones) and for the internal layering of each Delta
+  segment.
 * **H-stratification** (Definition 6): a partition of the rulebase into
   segments ``R_1, ..., R_n`` such that positive occurrences refer to
   the same segment or below, negative occurrences in *even* segments

@@ -57,7 +57,7 @@ def cycle_graph(n: int) -> tuple[list[str], list[tuple[str, str]]]:
 
 
 def transitive_closure_rules() -> Rulebase:
-    """The canonical linear-recursive Horn program (substrate bench E12)."""
+    """The canonical linear-recursive Horn program (naive vs semi-naive, E12)."""
     return parse_program(
         """
         path(X, Y) :- edge(X, Y).

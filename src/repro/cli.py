@@ -158,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
             choices=("auto", "on", "off"),
             help="generated join kernels for the bottom-up engine "
             "(docs/PERFORMANCE.md); answers are identical either way, "
-            "'auto' lets each engine pick",
+            "'auto' means on",
         )
 
     commands = parser.add_subparsers(dest="command", required=True)

@@ -1,11 +1,11 @@
 """Evaluation engines.
 
-* :mod:`repro.engine.datalog` — positive-Datalog least fixpoints
-  (naive and semi-naive), the Bancilhon-Ramakrishnan substrate.
-* :mod:`repro.engine.stratified` — stratified Datalog¬ perfect models,
-  the Apt-Blair-Walker substrate.
-* :mod:`repro.engine.model` — reference evaluator for the full
-  hypothetical language (memoized per database).
+* :mod:`repro.engine.model` — the bottom-up evaluator: reference
+  perfect models for the full hypothetical language (memoized per
+  database); plain and stratified Datalog are its hypothesis-free
+  special cases.
+* :mod:`repro.engine.delta` — the one semi-naive stratum closure loop,
+  shared by the model engine and PROVE_Delta.
 * :mod:`repro.engine.prove` — the paper's PROVE_Sigma / PROVE_Delta
   cascade for linearly stratified rulebases.
 * :mod:`repro.engine.topdown` — tabled goal-directed evaluation for the
@@ -15,9 +15,9 @@
 * :mod:`repro.engine.query` — engine-agnostic session API.
 
 All engines accept ``metrics=`` (a
-:class:`~repro.obs.metrics.MetricsRegistry`) and ``tracer=`` (a
-:class:`~repro.obs.trace.Tracer`) keyword arguments; see
-:mod:`repro.obs` and ``docs/OBSERVABILITY.md``.  They also accept
+:class:`~repro.obs.metrics.MetricsRegistry`, where their work counters
+are read) and ``tracer=`` (a :class:`~repro.obs.trace.Tracer`) keyword
+arguments; see :mod:`repro.obs` and ``docs/OBSERVABILITY.md``.  They also accept
 ``budget=`` (a :class:`~repro.engine.budget.Budget`) bounding
 evaluation by wall-clock deadline, inference steps, derived atoms,
 proof depth, and cooperative cancellation; see
@@ -25,31 +25,21 @@ proof depth, and cooperative cancellation; see
 """
 
 from .budget import Budget, CancellationToken, NULL_BUDGET
-from .datalog import FixpointStats, naive_least_fixpoint, seminaive_least_fixpoint
 from .interpretation import Interpretation
-from .model import EngineStats, PerfectModelEngine
+from .model import PerfectModelEngine
 from .proofs import Explainer, PremiseStep, Proof, format_proof, verify_proof
-from .prove import LinearStratifiedProver, ProverStats
+from .prove import LinearStratifiedProver
 from .query import Session, answers, ask
-from .stratified import perfect_model, stratified_holds
-from .topdown import TopDownEngine, TopDownStats
+from .topdown import TopDownEngine
 
 __all__ = [
     "Budget",
     "CancellationToken",
     "NULL_BUDGET",
     "Interpretation",
-    "naive_least_fixpoint",
-    "seminaive_least_fixpoint",
-    "FixpointStats",
-    "perfect_model",
-    "stratified_holds",
     "PerfectModelEngine",
-    "EngineStats",
     "LinearStratifiedProver",
-    "ProverStats",
     "TopDownEngine",
-    "TopDownStats",
     "Explainer",
     "Proof",
     "PremiseStep",

@@ -1,11 +1,11 @@
 """Shared differential (semi-naive) stratum closure.
 
-Every bottom-up evaluator in this repo closes a set of rules over a
-growing interpretation: the positive substrate
-(:mod:`repro.engine.datalog`), the stratified-negation substrate
-(:mod:`repro.engine.stratified`), and the hypothetical model engine
-(:mod:`repro.engine.model`).  This module factors the closure loop out
-once, with both strategies:
+Both bottom-up evaluators in this repo close a set of rules over a
+growing interpretation: the hypothetical model engine
+(:mod:`repro.engine.model`) once per negation stratum and database, and
+the paper's ``PROVE_Delta`` (:mod:`repro.engine.prove`) once per
+negation layer of a Delta segment.  This module is that closure loop,
+with both strategies:
 
 * ``naive`` — every round applies every rule against the full
   interpretation; the obviously-correct baseline.
@@ -19,7 +19,10 @@ once, with both strategies:
 Which premises are delta-sensitive inside one stratum closure?
 
 * **Positive premises** — yes: the premise's predicate may grow as the
-  stratum closes.
+  stratum closes.  A premise over a predicate the closure never
+  derives (the EDB, a lower stratum, or — for ``PROVE_Delta`` — a
+  predicate the caller's ``positive`` hands to a lower oracle) never
+  meets the delta, so it is only read in full.
 * **Negated premises** — no: :func:`~repro.analysis.stratify.negation_strata`
   guarantees every negated predicate lives in a strictly lower stratum
   (or the EDB), and a stratum's rules only add atoms of the stratum's
@@ -72,19 +75,21 @@ from ..core.terms import Atom, Constant
 from ..core.unify import Substitution, ground_instances
 from ..obs.metrics import Counter, Histogram
 from ..obs.trace import NULL_SPAN, NULL_TRACER, Tracer
-from .body import nonlocal_variables, satisfy_body
+from .body import (
+    HypotheticalExpander,
+    NegatedTest,
+    PositiveExpander,
+    nonlocal_variables,
+    satisfy_body,
+)
 from .budget import NULL_BUDGET
 from .interpretation import Interpretation
 
 __all__ = ["LayerInstruments", "close_layer", "delta_sources", "rule_firings"]
 
-HypotheticalExpander = Callable[
-    [Hypothetical, Substitution], Iterator[Substitution]
-]
 DeltaHypotheticalExpander = Callable[
     [Hypothetical, Substitution, Interpretation], Iterator[Substitution]
 ]
-NegatedTest = Callable[[Atom, Substitution], bool]
 
 
 class LayerInstruments:
@@ -118,15 +123,6 @@ def delta_sources(item: Rule) -> tuple[Premise, ...]:
     """
     return tuple(
         premise for premise in item.body if not isinstance(premise, Negated)
-    )
-
-
-def _reject_hypothetical(
-    premise: Hypothetical, binding: Substitution
-) -> Iterator[Substitution]:
-    raise EvaluationError(
-        f"this closure was given no hypothetical expander but rule body "
-        f"contains {premise}"
     )
 
 
@@ -247,9 +243,10 @@ def close_layer(
     interp: Interpretation,
     domain: Sequence[Constant],
     *,
-    hypothetical: Optional[HypotheticalExpander] = None,
+    positive: PositiveExpander,
+    negated: NegatedTest,
+    hypothetical: HypotheticalExpander,
     hypothetical_delta: Optional[DeltaHypotheticalExpander] = None,
-    negated: Optional[NegatedTest] = None,
     strategy: str = "seminaive",
     seed_delta: Optional[Interpretation] = None,
     refire_full: Sequence[Rule] = (),
@@ -264,11 +261,12 @@ def close_layer(
     """Close one stratum's rules over ``interp``; return the new atoms.
 
     ``interp`` is grown in place; the returned interpretation holds
-    exactly the atoms this closure added.  ``negated`` defaults to
-    negation-as-failure against ``interp``; ``hypothetical`` defaults
-    to rejecting hypothetical premises.  See the module docstring for
-    the delta discipline and the meaning of ``seed_delta`` /
-    ``refire_full``.
+    exactly the atoms this closure added.  ``positive``, ``negated`` and
+    ``hypothetical`` decide the three premise kinds as in
+    :func:`~repro.engine.body.satisfy_body`; ``positive`` must read
+    ``interp`` for the predicates these rules derive.  See the module
+    docstring for the delta discipline and the meaning of
+    ``seed_delta`` / ``refire_full``.
 
     ``budget`` (a :class:`~repro.engine.budget.Budget`) is charged one
     step per rule firing (site ``delta.firings``) and one atom per
@@ -300,15 +298,6 @@ def close_layer(
     if strategy not in ("naive", "seminaive"):
         raise EvaluationError(f"unknown closure strategy {strategy!r}")
     rule_list = list(rules)
-    if negated is None:
-        def negated(pattern: Atom, current: Substitution) -> bool:
-            return not interp.has_match(pattern, current)
-    if hypothetical is None:
-        hypothetical = _reject_hypothetical
-
-    def positive(pattern: Atom, current: Substitution) -> Iterator[Substitution]:
-        return interp.matches(pattern, current)
-
     n_rounds = n_firings = n_derived = h_delta = None
     if instruments is not None:
         n_rounds = instruments.rounds
@@ -363,57 +352,11 @@ def close_layer(
                 return fire(item, head_variables, guards, target, delta)
             return heads
 
-    if strategy == "naive":
-        if seed_delta is not None:
-            raise EvaluationError("seeded closure requires strategy='seminaive'")
-        changed = True
-        round_index = 0
-        while changed:
-            changed = False
-            round_index += 1
-            if n_rounds is not None:
-                n_rounds.value += 1
-            if governed:
-                budget.poll("delta.round")
-            if kernels is not None:
-                kernels.begin_round()
-            ctx = (
-                trace.span(
-                    "round", str(round_index), args={"strategy": "naive"}
-                )
-                if trace.enabled
-                else NULL_SPAN
-            )
-            with ctx:
-                pending: list[Atom] = []
-                for item, head_variables, guards, _sources, _full in infos:
-                    rule_ctx = (
-                        trace.span("rule", item.head.predicate, src=item.span)
-                        if trace.enabled
-                        else NULL_SPAN
-                    )
-                    with rule_ctx:
-                        for head in fire_body(
-                            item, head_variables, guards, None, None
-                        ):
-                            if n_firings is not None:
-                                n_firings.value += 1
-                            if governed:
-                                budget.charge("delta.firings")
-                            pending.append(head)
-                for head in pending:
-                    if interp.add(head):
-                        if kernels is not None:
-                            kernels.added(head)
-                        derived_all.add(head)
-                        changed = True
-                        if n_derived is not None:
-                            n_derived.value += 1
-                        if governed:
-                            budget.charge_atoms("delta.derived")
-        return derived_all
-
+    naive = strategy == "naive"
+    if naive and seed_delta is not None:
+        raise EvaluationError("seeded closure requires strategy='seminaive'")
     refire_ids = {id(item) for item in refire_full}
+    # A naive round has no delta: every rule evaluates in full.
     delta = seed_delta
     first = True
     round_index = 0
@@ -427,18 +370,13 @@ def close_layer(
             kernels.begin_round()
         if h_delta is not None and delta is not None:
             h_delta.observe(len(delta))
-        ctx = (
-            trace.span(
-                "round",
-                str(round_index),
-                args={
-                    "strategy": "seminaive",
-                    "delta": len(delta) if delta is not None else len(interp),
-                },
-            )
-            if trace.enabled
-            else NULL_SPAN
-        )
+        if trace.enabled:
+            args = {"strategy": strategy}
+            if not naive:
+                args["delta"] = len(delta) if delta is not None else len(interp)
+            ctx = trace.span("round", str(round_index), args=args)
+        else:
+            ctx = NULL_SPAN
         with ctx:
             pending: list[Atom] = []
             for item, head_variables, guards, sources, always_full in infos:
@@ -486,6 +424,7 @@ def close_layer(
                     if governed:
                         budget.charge_atoms("delta.derived")
         first = False
-        delta = next_delta
         if not len(next_delta):
             return derived_all
+        if not naive:
+            delta = next_delta

@@ -27,14 +27,11 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterable, Iterator, Optional, Union
 
-from ..core.database import Database
+from ..core.database import _INDEX_MIN_ROWS, Database
 from ..core.terms import Atom, Term, Variable
 from ..core.unify import Substitution, match_args
 
 __all__ = ["Interpretation"]
-
-# Below this relation size a linear scan beats building position maps.
-_INDEX_MIN_ROWS = 8
 
 _Rows = frozenset
 
@@ -281,17 +278,6 @@ class Interpretation:
 
     def to_frozenset(self) -> frozenset[Atom]:
         return frozenset(self)
-
-    def copy(self) -> "Interpretation":
-        duplicate = Interpretation()
-        # The base layer is immutable (frozensets adopted from a
-        # Database), so it is shared; only the overlay is copied.
-        duplicate._base = self._base
-        duplicate._added = {
-            predicate: set(rows) for predicate, rows in self._added.items()
-        }
-        duplicate._size = self._size
-        return duplicate
 
     def __repr__(self) -> str:
         return f"Interpretation({self._size} atoms)"

@@ -81,7 +81,7 @@ from ..core.errors import EvaluationError, InvariantViolation, ResourceExhausted
 from ..core.parser import parse_premise
 from ..core.terms import Atom, Constant, Term, Variable
 from ..core.unify import Substitution, ground_instances
-from ..obs.metrics import MetricsRegistry, StatsView
+from ..obs.metrics import MetricsRegistry
 from ..obs.provenance import (
     NULL_PROVENANCE,
     ProvenanceRecorder,
@@ -104,22 +104,9 @@ from .dred import (
 from .interpretation import Interpretation
 from .kernels import KernelProgram, compile_mode
 
-__all__ = ["PerfectModelEngine", "EngineStats"]
+__all__ = ["PerfectModelEngine"]
 
 Query = Union[str, Atom, Premise]
-
-
-class EngineStats(StatsView):
-    """Deprecated: work counters of a :class:`PerfectModelEngine`, now a
-    thin view over a :class:`~repro.obs.metrics.MetricsRegistry`
-    (``model.*``); read the registry directly in new code."""
-
-    _counter_fields = {
-        "models_computed": "model.models_computed",
-        "cache_hits": "model.cache_hits",
-        "rule_rounds": "model.rule_rounds",
-        "atoms_derived": "model.atoms_derived",
-    }
 
 
 class _SeedSource:
@@ -186,11 +173,9 @@ class PerfectModelEngine:
         bench).  Semantics-neutral.
     compile:
         Generated join kernels (:mod:`repro.engine.kernels`) for the
-        body-evaluation hot path.  ``"auto"`` (default) enables them on
-        this engine — long-lived, lattice-exploring evaluation is where
-        compilation pays for itself; ``"on"`` forces, ``"off"``
-        interprets every rule body.  Semantics-neutral, and work-
-        counter exact where work is actually repeated: kernels yield
+        body-evaluation hot path.  ``"auto"`` (default) means ``"on"``;
+        ``"off"`` interprets every rule body.  Semantics-neutral, and
+        work-counter exact where work is actually repeated: kernels yield
         the same head multiset (``model.rule_firings``) and visit the
         same negation tests (``model.negation_tests``) firing for
         firing, while recursion-case hypothetical decisions are
@@ -262,7 +247,7 @@ class PerfectModelEngine:
         Internal (set on delegate engines): the demand rewrite's
         auxiliary predicates (``magic__``/``sup__``/seed), stripped
         from recorded edges so provenance explains the original
-        program.
+        program, and from the atoms of an exhaustion's partial result.
     """
 
     _ANCESTOR_SCAN_CAP = 4096
@@ -366,8 +351,6 @@ class PerfectModelEngine:
         # on the database.
         self._demand_cache: dict[tuple, Optional["_DemandEntry"]] = {}
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        # "auto" resolves to "on" here: this engine is long-lived and
-        # explores database lattices, so kernel compilation amortizes.
         self._compile = compile_mode(compile)
         self._kernel_program = (
             KernelProgram(self.metrics) if self._compile != "off" else None
@@ -388,18 +371,17 @@ class PerfectModelEngine:
             # the child database, which would leave replay holes.
             self._reuse = False
         self._cross_check = bool(cross_check)
-        # Interpretations of models currently being computed, outermost
-        # first; harvested for partial results when evaluation is cut
-        # short (frames are popped on success only).
-        self._inflight: list[Interpretation] = []
-        # In-flight frames by database, each mapping to its live
-        # ``[interpretation, strata-closed-so-far]`` state.  Add-only
-        # recursion grows the database strictly, so it cannot revisit
-        # one; deletions make add/delete cycles through the lattice
-        # possible.  A benign cycle (the goal's stratum already closed
-        # in the in-flight evaluation) is answered from that final
-        # prefix; a genuine one is refused.  Only consulted when the
-        # rulebase has deletions.
+        # One ``[interpretation, strata-closed-so-far]`` frame per model
+        # currently being computed, outermost first; the outermost is
+        # harvested for the partial result when evaluation is cut short
+        # (frames are popped on success only).
+        self._inflight: list[list] = []
+        # The same frames by database.  Add-only recursion grows the
+        # database strictly, so it cannot revisit one; deletions make
+        # add/delete cycles through the lattice possible.  A benign
+        # cycle (the goal's stratum already closed in the in-flight
+        # evaluation) is answered from that final prefix; a genuine one
+        # is refused.  Only kept when the rulebase has deletions.
         self._has_deletions = rulebase.has_deletions()
         self._inflight_dbs: dict[Database, list] = {}
         #: Diagnostics recorded by graceful-degradation events (one per
@@ -410,7 +392,6 @@ class PerfectModelEngine:
         # naive forever (see _note_degraded).
         self._degraded = False
         self._degraded_warned = False
-        self.stats = EngineStats(self.metrics)
         # Counters are bound once; hot paths do a slots-attribute
         # increment, the same cost as the old stats-struct fields.
         counter = self.metrics.counter
@@ -994,7 +975,12 @@ class PerfectModelEngine:
 
     def _note_exhaustion(self, error: ResourceExhausted) -> None:
         if self._inflight:
-            error.partial.merge_missing(atoms=self._inflight[0].to_frozenset())
+            interp, closed = self._inflight[0]
+            aux = self._prov_aux
+            atoms = frozenset(
+                atom for atom in interp if atom.predicate not in aux
+            )
+            error.partial.merge_missing(atoms=atoms, strata_completed=closed)
         self.metrics.counter("budget.exhausted").value += 1
         if self._tracer.enabled:
             self._tracer.event(
@@ -1233,15 +1219,16 @@ class PerfectModelEngine:
         with ctx:
             interp = Interpretation(db)
             interp.probes = self._n_probes
-            self._inflight.append(interp)
+            frame = [interp, 0]
+            self._inflight.append(frame)
             if self._has_deletions:
-                self._inflight_dbs[db] = [interp, 0]
+                self._inflight_dbs[db] = frame
             if self._reuse and parent is None:
                 parent = self._ancestor_seed(db)
                 if parent is None and dred is None:
                     dred = self._dred_ancestor(db, domain)
             if parent is None and dred is not None and record is None:
-                self._dred_fill(db, domain, interp, dred)
+                self._dred_fill(db, domain, frame, dred)
             else:
                 seed_limit = 0
                 # ``fresh`` is the running delta for seeded strata: the
@@ -1284,8 +1271,7 @@ class PerfectModelEngine:
                         )
                         if index + 1 < seed_limit:
                             fresh.update(new)
-                    if self._has_deletions:
-                        self._inflight_dbs[db][1] = index + 1
+                    frame[1] = index + 1
             program = self._kernel_program
             result = (
                 program.freeze(interp)
@@ -1306,12 +1292,12 @@ class PerfectModelEngine:
         self,
         db: Database,
         domain: Sequence[Constant],
-        interp: Interpretation,
+        frame: list,
         source: DredSource,
     ) -> None:
-        """Fill ``interp`` with the model at ``db`` by patching the
-        pre-change state in ``source`` (delete-and-rederive) instead of
-        running the fixpoint from scratch.
+        """Fill the in-flight ``frame`` with the model at ``db`` by
+        patching the pre-change state in ``source`` (delete-and-rederive)
+        instead of running the fixpoint from scratch.
 
         Strata the source has closed are skipped (no relevant change),
         DRed-patched (purely positive), or re-closed and diffed
@@ -1322,6 +1308,7 @@ class PerfectModelEngine:
         replaced per stratum with the *extension* diff, so only net
         changes propagate upward.
         """
+        interp = frame[0]
         old = OldView(source.relation)
         removed_acc: dict[str, set[Atom]] = {}
         added_acc: dict[str, set[Atom]] = {}
@@ -1408,9 +1395,7 @@ class PerfectModelEngine:
                             Atom(predicate, args)
                             for args in new_rows - old_rows
                         }
-            state = self._inflight_dbs.get(db)
-            if state is not None:
-                state[1] = index + 1
+            frame[1] = index + 1
 
     def _close_layer(
         self,
@@ -1510,6 +1495,7 @@ class PerfectModelEngine:
             rules,
             interp,
             domain,
+            positive=interp.matches,
             hypothetical=hypothetical,
             hypothetical_delta=hypothetical_delta,
             negated=negated,

@@ -24,7 +24,10 @@ This module realizes the cascade deterministically:
   cycle, which keeps the search complete);
 * ``PROVE_Delta_i`` materializes the perfect model of ``Delta_i`` at a
   database once and memoizes it per ``(stratum, database)``, so the
-  many ``TEST0`` calls of the paper become dictionary lookups.
+  many ``TEST0`` calls of the paper become dictionary lookups.  Each
+  negation layer of the segment is closed by the semi-naive loop the
+  model engine runs (:func:`~repro.engine.delta.close_layer`), with
+  premises over lower segments routed to the cascade.
 
 The prover also keeps the counters needed by experiment E9: the number
 of sigma goals expanded bounds the length of the paper's "proof
@@ -49,7 +52,7 @@ from ..core.parser import parse_premise
 from ..core.terms import Atom, Constant, Variable
 from ..core.unify import Substitution, ground_instances, match
 from ..analysis.planner import annotate_plan, idb_aware_sizes
-from ..obs.metrics import MetricsRegistry, StatsView
+from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_SPAN, NULL_TRACER, Tracer
 from .body import (
     cost_aware_positive_order,
@@ -58,26 +61,12 @@ from .body import (
     satisfy_body,
 )
 from .budget import NULL_BUDGET, cancelled_error, depth_error
+from .delta import close_layer
 from .interpretation import Interpretation
 
-__all__ = ["LinearStratifiedProver", "ProverStats"]
+__all__ = ["LinearStratifiedProver"]
 
 Query = Union[str, Atom, Premise]
-
-
-class ProverStats(StatsView):
-    """Deprecated: work counters of a :class:`LinearStratifiedProver`,
-    now a thin view over a :class:`~repro.obs.metrics.MetricsRegistry`
-    (``prove.*``); read the registry directly in new code."""
-
-    _counter_fields = {
-        "sigma_goals": "prove.sigma_goals",
-        "sigma_cache_hits": "prove.sigma_cache_hits",
-        "delta_models": "prove.delta_models",
-        "delta_cache_hits": "prove.delta_cache_hits",
-        "cycles_cut": "prove.cycles_cut",
-    }
-    _gauge_fields = {"max_depth": "prove.max_depth"}
 
 
 class LinearStratifiedProver:
@@ -149,7 +138,6 @@ class LinearStratifiedProver:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._budget = budget if budget is not None else NULL_BUDGET
-        self.stats = ProverStats(self.metrics)
         counter = self.metrics.counter
         self._n_sigma_goals = counter("prove.sigma_goals")
         self._n_sigma_cache_hits = counter("prove.sigma_cache_hits")
@@ -586,6 +574,7 @@ class LinearStratifiedProver:
             return self._expand_hypothetical(premise, current, db, domain)
 
         trace = self._tracer
+        plan = self._cost_plan(db, domain)
         delta_ctx = (
             trace.span(
                 "delta", f"Delta_{stratum}", args={"db": len(db)}
@@ -594,75 +583,28 @@ class LinearStratifiedProver:
             else NULL_SPAN
         )
         with delta_ctx:
-            self._close_delta_layers(
-                stratum, interp, db, domain, positive, negated, hypothetical
-            )
+            for layer_index, group in enumerate(self._delta_layers[stratum]):
+                layer_ctx = (
+                    trace.span(
+                        "stratum", str(layer_index), args={"rules": len(group)}
+                    )
+                    if trace.enabled
+                    else NULL_SPAN
+                )
+                with layer_ctx:
+                    close_layer(
+                        group,
+                        interp,
+                        domain,
+                        positive=positive,
+                        negated=negated,
+                        hypothetical=hypothetical,
+                        plan=plan,
+                        optimize=self._join_mode == "greedy",
+                        tracer=trace,
+                        budget=self._budget,
+                    )
         self._delta_in_progress.discard(key)
         if self._memoize:
             self._delta_cache[key] = interp
         return interp
-
-    def _close_delta_layers(
-        self, stratum, interp, db, domain, positive, negated, hypothetical
-    ) -> None:
-        """Fixpoint of each negation layer of ``Delta_stratum``."""
-        trace = self._tracer
-        for layer_index, group in enumerate(self._delta_layers.get(stratum, [])):
-            layer_ctx = (
-                trace.span(
-                    "stratum", str(layer_index), args={"rules": len(group)}
-                )
-                if trace.enabled
-                else NULL_SPAN
-            )
-            with layer_ctx:
-                self._close_delta_group(
-                    group, interp, db, domain, positive, negated, hypothetical
-                )
-
-    def _close_delta_group(
-        self, group, interp, db, domain, positive, negated, hypothetical
-    ) -> None:
-        """Fixpoint of one negation layer's rules (plus TEST0 oracles)."""
-        trace = self._tracer
-        budget = self._budget
-        governed = budget.enabled
-        changed = True
-        while changed:
-            changed = False
-            pending: list[Atom] = []
-            for item in group:
-                rule_ctx = (
-                    trace.span("rule", item.head.predicate, src=item.span)
-                    if trace.enabled
-                    else NULL_SPAN
-                )
-                with rule_ctx:
-                    head_variables = set(item.head.variables())
-                    for current in satisfy_body(
-                        item.body,
-                        positive=positive,
-                        hypothetical=hypothetical,
-                        negated=negated,
-                        ground_first=nonlocal_variables(item),
-                        domain=domain,
-                        optimize=self._join_mode == "greedy",
-                        plan=self._cost_plan(db, domain),
-                    ):
-                        if governed:
-                            budget.charge("prove.delta_firings")
-                        unbound = [
-                            var for var in head_variables if var not in current
-                        ]
-                        if unbound:
-                            for grounded in ground_instances(
-                                unbound, domain, current
-                            ):
-                                pending.append(item.head.substitute(grounded))
-                        else:
-                            pending.append(item.head.substitute(current))
-            for head in pending:
-                if interp.add(head):
-                    if governed:
-                        budget.charge_atoms("prove.delta_atoms")
-                    changed = True

@@ -40,7 +40,7 @@ from ..core.parser import parse_premise
 from ..core.terms import Atom, Constant, Variable
 from ..core.unify import Substitution, ground_instances, match
 from ..analysis.planner import annotate_plan, idb_aware_sizes
-from ..obs.metrics import MetricsRegistry, StatsView
+from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_SPAN, NULL_TRACER, Tracer
 from .body import (
     cost_aware_positive_order,
@@ -51,22 +51,9 @@ from .body import (
 )
 from .budget import NULL_BUDGET, cancelled_error, depth_error
 
-__all__ = ["TopDownEngine", "TopDownStats"]
+__all__ = ["TopDownEngine"]
 
 Query = Union[str, Atom, Premise]
-
-
-class TopDownStats(StatsView):
-    """Deprecated: work counters of a :class:`TopDownEngine`, now a
-    thin view over a :class:`~repro.obs.metrics.MetricsRegistry`
-    (``topdown.*``); read the registry directly in new code."""
-
-    _counter_fields = {
-        "goals": "topdown.goals",
-        "cache_hits": "topdown.cache_hits",
-        "cycles_cut": "topdown.cycles_cut",
-    }
-    _gauge_fields = {"max_depth": "topdown.max_depth"}
 
 
 class TopDownEngine:
@@ -99,7 +86,6 @@ class TopDownEngine:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._budget = budget if budget is not None else NULL_BUDGET
-        self.stats = TopDownStats(self.metrics)
         counter = self.metrics.counter
         self._n_goals = counter("topdown.goals")
         self._n_cache_hits = counter("topdown.cache_hits")

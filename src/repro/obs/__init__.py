@@ -2,7 +2,7 @@
 
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry` of named
   counters/gauges/histograms; the single home for every engine's work
-  counters (the historical per-engine stats structs are thin views).
+  counters.
 * :mod:`repro.obs.trace` — :class:`Tracer` with nestable spans
   (stratum/rule/hypothesis/goal) carrying wall time and source spans;
   :data:`NULL_TRACER` is the zero-overhead disabled default.
@@ -25,7 +25,7 @@ from .export import (
     validate_chrome_trace,
     write_chrome_trace,
 )
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry, StatsView
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .provenance import (
     NULL_PROVENANCE,
     NullProvenance,
@@ -51,7 +51,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "StatsView",
     "Tracer",
     "NullTracer",
     "NULL_TRACER",

@@ -1,19 +1,14 @@
 """Engine-wide metrics: named counters, gauges, and histograms.
 
-Before this module each evaluator kept its own ad-hoc stats struct
-(``FixpointStats`` in :mod:`repro.engine.datalog`, ``EngineStats`` in
-:mod:`repro.engine.model`, ...) with overlapping counters under
-different names.  :class:`MetricsRegistry` unifies them: every engine
-counts into one registry under dotted metric names
-(``prove.sigma_goals``, ``model.cache_hits``, ...), and the historical
-structs survive as thin :class:`StatsView` subclasses reading through
-to the registry, so existing callers keep working.
+Every engine counts into one :class:`MetricsRegistry` under dotted
+metric names (``prove.sigma_goals``, ``model.cache_hits``, ...); the
+registry is the only place work counters are read.
 
 Design constraints (the hot paths run millions of increments):
 
 * a :class:`Counter` is a ``__slots__`` cell; engines look it up once
-  at construction and then do ``counter.value += 1`` — the same cost
-  as the attribute increments the old structs used;
+  at construction and then do ``counter.value += 1`` — the cost of a
+  plain attribute increment;
 * the registry itself is only touched at setup, snapshot, and merge
   time, never inside evaluation loops;
 * no dependencies beyond the standard library.
@@ -24,14 +19,13 @@ The canonical metric names are catalogued in ``docs/OBSERVABILITY.md``.
 from __future__ import annotations
 
 import json
-from typing import Iterator, Mapping, Optional, Union
+from typing import Iterator, Mapping, Union
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "StatsView",
 ]
 
 Number = Union[int, float]
@@ -245,57 +239,3 @@ class MetricsRegistry:
 
     def __repr__(self) -> str:
         return f"MetricsRegistry({len(self)} metrics)"
-
-
-def _counter_property(metric: str) -> property:
-    def fget(self: "StatsView") -> int:
-        return self.registry.counter(metric).value
-
-    def fset(self: "StatsView", value: int) -> None:
-        self.registry.counter(metric).value = value
-
-    return property(fget, fset)
-
-
-def _gauge_property(metric: str) -> property:
-    def fget(self: "StatsView") -> Number:
-        return self.registry.gauge(metric).value
-
-    def fset(self: "StatsView", value: Number) -> None:
-        self.registry.gauge(metric).value = value
-
-    return property(fget, fset)
-
-
-class StatsView:
-    """Base for the deprecated per-engine stats structs.
-
-    Subclasses declare ``_counter_fields`` / ``_gauge_fields`` mapping
-    legacy attribute names to registry metric names; matching
-    read/write properties are installed automatically.  A view created
-    without a registry owns a private one, which keeps the historical
-    ``stats = FixpointStats()`` idiom working.
-    """
-
-    _counter_fields: Mapping[str, str] = {}
-    _gauge_fields: Mapping[str, str] = {}
-
-    def __init_subclass__(cls, **kwargs: object) -> None:
-        super().__init_subclass__(**kwargs)
-        for attr, metric in cls._counter_fields.items():
-            setattr(cls, attr, _counter_property(metric))
-        for attr, metric in cls._gauge_fields.items():
-            setattr(cls, attr, _gauge_property(metric))
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-
-    def snapshot(self) -> dict[str, Number]:
-        return {
-            attr: getattr(self, attr)
-            for attr in (*self._counter_fields, *self._gauge_fields)
-        }
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v}" for k, v in self.snapshot().items())
-        return f"{type(self).__name__}({inner})"

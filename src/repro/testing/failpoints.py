@@ -68,8 +68,6 @@ KNOWN_SITES: frozenset[str] = NETWORK_SITES | frozenset(
         # the paper's PROVE cascade (repro.engine.prove)
         "prove.sigma_goals",
         "prove.delta_models",
-        "prove.delta_firings",
-        "prove.delta_atoms",
         "prove.exists",
         # tabled top-down search (repro.engine.topdown)
         "topdown.goals",
@@ -79,12 +77,10 @@ KNOWN_SITES: frozenset[str] = NETWORK_SITES | frozenset(
         "model.exists",
         "model.invariant",
         # shared differential stratum closure (repro.engine.delta),
-        # reached from model/stratified/datalog evaluation
+        # reached from the model engine and from PROVE_Delta
         "delta.round",
         "delta.firings",
         "delta.derived",
-        # stratified substrate (repro.engine.stratified)
-        "stratified.stratum",
     }
 )
 

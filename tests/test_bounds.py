@@ -24,7 +24,7 @@ def measured_goals(rulebase, db, query):
     bound = proof_sequence_bound(
         stratification, stratification.k, len(prover.domain(db))
     )
-    return prover.stats.sigma_goals, bound
+    return prover.metrics.counter("prove.sigma_goals").value, bound
 
 
 class TestIngredients:

@@ -2,7 +2,8 @@
 
 Covers the :class:`~repro.engine.budget.Budget` guards in isolation,
 then exhaustion at every evaluator entry point (``model``, ``prove``,
-``topdown``, the stratified substrate, and the Datalog fixpoints),
+``topdown``, including the model engine's plain and stratified Datalog
+special cases),
 the soundness of partial results (always a subset of the unbudgeted
 outcome), recursion-limit conversion, and engine reusability after a
 trip.  docs/ROBUSTNESS.md documents the contract.
@@ -24,11 +25,9 @@ from repro.engine.budget import (
     cancelled_error,
     depth_error,
 )
-from repro.engine.datalog import naive_least_fixpoint, seminaive_least_fixpoint
 from repro.engine.model import PerfectModelEngine
 from repro.engine.prove import LinearStratifiedProver
 from repro.engine.query import Session
-from repro.engine.stratified import perfect_model
 from repro.engine.topdown import TopDownEngine
 from repro.library import graph_db, hamiltonian_rulebase
 
@@ -44,6 +43,11 @@ TC = "path(X, Y) :- edge(X, Y). path(X, Y) :- edge(X, Z), path(Z, Y)."
 def chain_db(n):
     nodes = [f"n{i}" for i in range(n)]
     return graph_db(nodes, [(nodes[i], nodes[i + 1]) for i in range(n - 1)])
+
+
+def perfect_model(rb, db, *, strategy="seminaive", budget=None):
+    engine = PerfectModelEngine(rb, strategy=strategy, compile="off")
+    return engine.model(db, budget=budget)
 
 
 # ----------------------------------------------------------------------
@@ -222,16 +226,42 @@ class TestEntryPoints:
         with pytest.raises(ResourceExhausted) as exc:
             perfect_model(rb, db, budget=Budget(max_atoms=5))
         partial = exc.value.partial
-        full = perfect_model(rb, db).to_frozenset()
+        full = perfect_model(rb, db)
         assert partial.atoms is not None
         assert partial.atoms <= full
 
     def test_fixpoint_entry_points(self):
         rb = parse_program(TC)
         db = chain_db(12)
-        for fixpoint in (naive_least_fixpoint, seminaive_least_fixpoint):
+        for strategy in ("naive", "seminaive"):
             with pytest.raises(ResourceExhausted):
-                fixpoint(rb, db, budget=Budget(max_atoms=5))
+                perfect_model(
+                    rb, db, strategy=strategy, budget=Budget(max_atoms=5)
+                )
+
+    @pytest.mark.parametrize("cap, closed", [(15, 3), (25, 4)])
+    def test_model_engine_reports_strata_completed(self, cap, closed):
+        # Strata: the three EDB predicates, then reach (21 atoms), then
+        # unreachable (9 atoms).  15 atoms trip inside reach, 25 inside
+        # unreachable; the partial counts the strata closed before.
+        rb = parse_program(
+            "reach(X) :- start(X)."
+            " reach(Y) :- reach(X), edge(X, Y)."
+            " unreachable(X) :- node(X), ~reach(X)."
+        )
+        nodes = [f"n{i}" for i in range(30)]
+        db = Database.from_relations(
+            {
+                "node": nodes,
+                "start": ["n0"],
+                "edge": [(nodes[i], nodes[i + 1]) for i in range(20)],
+            }
+        )
+        engine = PerfectModelEngine(rb)
+        with pytest.raises(ResourceExhausted) as exc:
+            engine.model(db, budget=Budget(max_atoms=cap))
+        assert exc.value.partial.strata_completed == closed
+        assert exc.value.partial.atoms <= engine.model(db)
 
     def test_deadline_exhaustion_latency(self):
         # Acceptance: the raise lands within 1.2x the deadline.
@@ -345,7 +375,7 @@ class TestProperties:
                 model = perfect_model(
                     rb, db, strategy=strategy, budget=Budget(max_atoms=cap)
                 )
-                outcomes[strategy] = ("ok", model.to_frozenset())
+                outcomes[strategy] = ("ok", model)
             except ResourceExhausted:
                 outcomes[strategy] = ("exhausted", None)
         assert outcomes["naive"][0] == outcomes["seminaive"][0]
@@ -360,13 +390,13 @@ class TestProperties:
         # that model.
         rb = parse_program(TC)
         db = chain_db(n)
-        full = perfect_model(rb, db).to_frozenset()
+        full = perfect_model(rb, db)
         for strategy in ("naive", "seminaive"):
             try:
                 model = perfect_model(
                     rb, db, strategy=strategy, budget=Budget(max_steps=steps)
                 )
-                assert model.to_frozenset() == full
+                assert model == full
             except ResourceExhausted as error:
                 assert error.partial.atoms is not None
                 assert error.partial.atoms <= full

@@ -2,8 +2,8 @@
 
 Covers the static side (:mod:`repro.analysis.demand`,
 :mod:`repro.analysis.magic`), the engine integrations
-(``PerfectModelEngine``, ``perfect_model``, the positive fixpoints,
-``Session``), and the user surfaces (``explain --demand``,
+(``PerfectModelEngine`` on hypothetical, stratified and positive
+programs, ``Session``), and the user surfaces (``explain --demand``,
 ``:explain demand``).  The invariant everything here defends: demand
 evaluation returns exactly the answers of full evaluation — when that
 cannot be guaranteed statically, the engines fall back, count the
@@ -20,13 +20,8 @@ from repro.analysis.stratify import demand_strata
 from repro.core.database import Database
 from repro.core.parser import parse_atom, parse_premise, parse_program
 from repro.core.terms import atom
-from repro.engine.datalog import (
-    naive_least_fixpoint,
-    seminaive_least_fixpoint,
-)
 from repro.engine.model import PerfectModelEngine
 from repro.engine.query import Session
-from repro.engine.stratified import perfect_model, stratified_holds
 from repro.library.hamiltonian import graph_db, hamiltonian_rulebase
 from repro.library.parity import parity_db, parity_rulebase
 from repro.obs.metrics import MetricsRegistry
@@ -319,27 +314,30 @@ class TestStratifiedDemand:
     def test_demanded_model_matches_on_query(self):
         rules = _tc()
         db = _tc_db()
-        full = perfect_model(rules, db)
+        full = PerfectModelEngine(rules).answers(db, "tc(a, Y)")
         metrics = MetricsRegistry()
-        demanded = perfect_model(
-            rules, db, metrics=metrics, demand="on", query="tc(a, Y)"
-        )
-        pattern = parse_atom("tc(a, Y)")
-        full_rows = {
-            binding[pattern.args[1]] for binding in full.matches(pattern)
-        }
-        demanded_rows = {
-            binding[pattern.args[1]] for binding in demanded.matches(pattern)
-        }
-        assert demanded_rows == full_rows
+        demanded = PerfectModelEngine(
+            rules, metrics=metrics, demand="on"
+        ).answers(db, "tc(a, Y)")
+        assert demanded == full
         assert metrics.counter("demand.magic_facts").value > 0
 
     def test_magic_atoms_stripped(self):
-        demanded = perfect_model(_tc(), _tc_db(), demand="on", query="tc(a, Y)")
+        # The demanded model itself stays inside the delegate engine;
+        # what reaches the caller is the answers and, on exhaustion, the
+        # partial atoms, which must not carry the rewrite's magic atoms.
+        from repro.core.errors import ResourceExhausted
+        from repro.engine.budget import Budget
+
+        engine = PerfectModelEngine(_tc(), demand="on")
+        with pytest.raises(ResourceExhausted) as exc:
+            engine.answers(_tc_db(), "tc(a, Y)", budget=Budget(max_atoms=3))
+        partial = exc.value.partial
         assert not any(
             item.predicate.startswith(("magic__", "sup__"))
-            for item in demanded.to_frozenset()
+            for item in partial.atoms
         )
+        assert partial.atoms <= engine.model(_tc_db())
 
     def test_rejection_counts_fallback(self):
         rules = parse_program("p(X) :- edge(X, Y), ~p(Y). q(X) :- p(X).")
@@ -347,7 +345,9 @@ class TestStratifiedDemand:
         db = Database([atom("edge", "a", "b")])
         with pytest.raises(Exception):
             # Recursion through negation: stratification itself fails.
-            perfect_model(rules, db, metrics=metrics, demand="on", query="q(a)")
+            PerfectModelEngine(rules, metrics=metrics, demand="on").ask(
+                db, "q(a)"
+            )
 
     def test_negation_program_fallback_is_sound(self):
         rules = parse_program(
@@ -357,15 +357,13 @@ class TestStratifiedDemand:
             " tc(X, Z) :- edge(X, Y), tc(Y, Z)."
         )
         db = _tc_db()
-        full = perfect_model(rules, db).to_frozenset()
+        full = PerfectModelEngine(rules)
 
         # A negated query needs the complete extension: rejected, the
         # fallback counted — same answers either way.
         metrics = MetricsRegistry()
-        model = perfect_model(
-            rules, db, metrics=metrics, demand="on", query="~reach(x9)"
-        )
-        assert model.to_frozenset() == full
+        engine = PerfectModelEngine(rules, metrics=metrics, demand="on")
+        assert engine.ask(db, "~reach(x9)") == full.ask(db, "~reach(x9)")
         assert metrics.counter("engine.demand_fallbacks").value == 1
 
         # reach's own cone does not contain the rule negating it
@@ -373,66 +371,41 @@ class TestStratifiedDemand:
         # — the negating rule is simply dropped with the rest of the
         # non-cone program, and reach's extension is exact.
         metrics = MetricsRegistry()
-        model = perfect_model(
-            rules, db, metrics=metrics, demand="on", query="reach(X)"
-        )
-        assert {
-            item for item in model.to_frozenset() if item.predicate == "reach"
-        } == {item for item in full if item.predicate == "reach"}
+        engine = PerfectModelEngine(rules, metrics=metrics, demand="on")
+        assert engine.answers(db, "reach(X)") == full.answers(db, "reach(X)")
         assert metrics.counter("engine.demand_fallbacks").value == 0
 
         # blocked itself is restricted (only its inputs are free), so
         # the rewrite proceeds; blocked's extension must be unchanged.
         metrics = MetricsRegistry()
-        model = perfect_model(
-            rules, db, metrics=metrics, demand="on", query="blocked(X)"
+        engine = PerfectModelEngine(rules, metrics=metrics, demand="on")
+        assert engine.answers(db, "blocked(X)") == full.answers(
+            db, "blocked(X)"
         )
-        assert {
-            item for item in model.to_frozenset() if item.predicate == "blocked"
-        } == {item for item in full if item.predicate == "blocked"}
         assert metrics.counter("engine.demand_fallbacks").value == 0
         assert metrics.counter("demand.rules_rewritten").value > 0
 
     def test_stratified_holds_with_demand(self):
-        assert stratified_holds(
-            _tc(), _tc_db(), parse_atom("tc(a, d)"), demand="on"
-        )
-        assert not stratified_holds(
-            _tc(), _tc_db(), parse_atom("tc(a, x1)"), demand="on"
-        )
+        engine = PerfectModelEngine(_tc(), demand="on")
+        assert engine.ask(_tc_db(), parse_atom("tc(a, d)"))
+        assert not engine.ask(_tc_db(), parse_atom("tc(a, x1)"))
 
 
 class TestFixpointDemand:
     def test_both_strategies_agree_with_full_fixpoint(self):
         rules = _tc()
-        facts = list(_tc_db().facts)
-        query = parse_atom("tc(a, Y)")
-        full = {
-            item
-            for item in seminaive_least_fixpoint(rules.rules, facts)
-            if item.predicate == "tc" and str(item.args[0].value) == "a"
-        }
-        for fixpoint in (naive_least_fixpoint, seminaive_least_fixpoint):
-            demanded = fixpoint(rules.rules, facts, demand="on", query=query)
-            got = {
-                item
-                for item in demanded
-                if item.predicate == "tc" and str(item.args[0].value) == "a"
-            }
-            assert got == full, fixpoint.__name__
-            assert not any(
-                item.predicate.startswith("magic__") for item in demanded
+        full = PerfectModelEngine(rules).answers(_tc_db(), "tc(a, Y)")
+        for strategy in ("naive", "seminaive"):
+            engine = PerfectModelEngine(
+                rules, strategy=strategy, compile="off", demand="on"
             )
+            assert engine.answers(_tc_db(), "tc(a, Y)") == full, strategy
 
     def test_fixpoint_counts_into_registry(self):
         metrics = MetricsRegistry()
-        seminaive_least_fixpoint(
-            _tc().rules,
-            list(_tc_db().facts),
-            stats=metrics,
-            demand="on",
-            query=parse_atom("tc(a, Y)"),
-        )
+        PerfectModelEngine(
+            _tc(), compile="off", metrics=metrics, demand="on"
+        ).answers(_tc_db(), parse_atom("tc(a, Y)"))
         assert metrics.counter("demand.magic_facts").value > 0
 
 

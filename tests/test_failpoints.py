@@ -17,7 +17,6 @@ from repro.core.parser import parse_program
 from repro.engine.budget import Budget
 from repro.engine.model import PerfectModelEngine
 from repro.engine.prove import LinearStratifiedProver
-from repro.engine.stratified import perfect_model
 from repro.engine.topdown import TopDownEngine
 from repro.library import graph_db, hamiltonian_rulebase
 from repro.testing import failpoints
@@ -61,27 +60,30 @@ def _model_exists(budget):
     )
 
 
-def _stratified(budget):
+def _chain_db():
     nodes = [f"n{i}" for i in range(6)]
-    db = graph_db(nodes, [(nodes[i], nodes[i + 1]) for i in range(5)])
-    return perfect_model(parse_program(TC), db, budget=budget)
+    return graph_db(nodes, [(nodes[i], nodes[i + 1]) for i in range(5)])
+
+
+def _closure(budget):
+    # Plain Datalog: every closure site is reached with no hypothesis.
+    return PerfectModelEngine(parse_program(TC)).model(
+        _chain_db(), budget=budget
+    )
 
 
 #: site -> a workload that reaches it while a budget is active.
 WORKLOADS = {
     "prove.sigma_goals": _prove,
     "prove.delta_models": _prove,
-    "prove.delta_firings": _prove,
-    "prove.delta_atoms": _prove,
     "prove.exists": _prove,
     "topdown.goals": _topdown,
     "topdown.exists": _topdown_exists,
     "model.models_computed": _model,
     "model.exists": _model_exists,
-    "delta.round": _stratified,
-    "delta.firings": _stratified,
-    "delta.derived": _stratified,
-    "stratified.stratum": _stratified,
+    "delta.round": _closure,
+    "delta.firings": _closure,
+    "delta.derived": _closure,
 }
 
 # The network-layer sites are reached per connection/frame, not per
@@ -134,7 +136,8 @@ def test_recovery_after_injection(site):
         query = "yes[add: edge(c, a)]" if site == "model.exists" else "yes"
         run = lambda b: engine.ask(_ham_db(), query, budget=b)
     else:
-        run = _stratified
+        engine = PerfectModelEngine(parse_program(TC))
+        run = lambda b: engine.model(_chain_db(), budget=b)
     with failpoints.armed(site):
         with pytest.raises(ResourceExhausted):
             run(Budget())
@@ -148,6 +151,21 @@ def test_failpoints_inert_without_budget(site):
     with failpoints.armed(site) as handle:
         WORKLOADS[site](None)
     assert handle.hits == 0
+
+
+def test_prove_delta_closure_trips_cleanly():
+    # PROVE_Delta closes its segments on the shared loop, so an armed
+    # closure site trips inside a Delta model (Hamiltonian's ``select``
+    # segment); the prover's caches and in-flight markers survive.
+    prover = LinearStratifiedProver(hamiltonian_rulebase())
+    with failpoints.armed("delta.firings", reason="injected") as handle:
+        with pytest.raises(ResourceExhausted) as exc:
+            prover.ask(_ham_db(), "yes", budget=Budget())
+    assert handle.hits == 1
+    assert exc.value.site == "delta.firings"
+    assert prover.metrics.counter("prove.delta_models").value >= 1
+    assert prover.ask(_ham_db(), "yes", budget=Budget()) is True
+    assert prover.ask(_ham_db(), "yes") is True
 
 
 def test_unknown_site_rejected():

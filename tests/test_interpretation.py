@@ -49,13 +49,6 @@ class TestInterpretation:
         assert interp.has_match(atom("yes"))
         assert not interp.has_match(atom("no"))
 
-    def test_copy_is_independent(self):
-        interp = Interpretation([atom("p", "a")])
-        clone = interp.copy()
-        clone.add(atom("p", "b"))
-        assert len(interp) == 1
-        assert len(clone) == 2
-
     def test_to_frozenset(self):
         interp = Interpretation([atom("p", "a")])
         assert interp.to_frozenset() == frozenset({atom("p", "a")})

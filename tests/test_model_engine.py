@@ -131,10 +131,10 @@ class TestCacheBehaviour:
         rb = parse_program("p :- q[add: r]. q :- r.")
         engine = PerfectModelEngine(rb)
         engine.ask(Database(), "p")
-        first = engine.stats.models_computed
+        first = engine.metrics.counter("model.models_computed").value
         engine.ask(Database(), "p")
-        assert engine.stats.models_computed == first
-        assert engine.stats.cache_hits > 0
+        assert engine.metrics.counter("model.models_computed").value == first
+        assert engine.metrics.counter("model.cache_hits").value > 0
 
     def test_clear_cache(self):
         rb = parse_program("p :- q.")

@@ -4,11 +4,9 @@ import pytest
 
 from repro.core.database import Database
 from repro.core.parser import parse_program
-from repro.engine.datalog import FixpointStats
-from repro.engine.model import EngineStats, PerfectModelEngine
-from repro.engine.prove import LinearStratifiedProver, ProverStats
-from repro.engine.topdown import TopDownEngine, TopDownStats
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry, StatsView
+from repro.engine.model import PerfectModelEngine
+from repro.engine.prove import LinearStratifiedProver
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 
 class TestInstruments:
@@ -104,31 +102,6 @@ class TestRegistry:
         assert len(registry) == 2
         assert {m.name for m in registry} == {"a", "b"}
 
-
-class TestStatsViews:
-    """The deprecated per-engine structs read through to the registry."""
-
-    def test_standalone_fixpoint_stats(self):
-        stats = FixpointStats()
-        stats.rounds += 2
-        stats.derived = 7
-        assert stats.rounds == 2
-        assert stats.registry.snapshot()["fixpoint.derived"] == 7
-        assert "rounds=2" in repr(stats)
-
-    def test_view_reflects_engine_registry(self):
-        rulebase = parse_program("p(X) :- q(X).")
-        engine = TopDownEngine(rulebase)
-        engine.ask(Database.from_relations({"q": ["a"]}), "p(a)")
-        assert engine.stats.goals >= 1
-        assert engine.stats.goals == engine.metrics.snapshot()["topdown.goals"]
-
-    def test_all_views_snapshot(self):
-        for view_cls in (FixpointStats, EngineStats, ProverStats, TopDownStats):
-            view = view_cls()
-            snap = view.snapshot()
-            assert snap and all(value == 0 for value in snap.values())
-
     def test_shared_registry_across_engines(self):
         """One registry can serve several engines (the REPL's usage)."""
         registry = MetricsRegistry()
@@ -139,13 +112,3 @@ class TestStatsViews:
         snap = registry.snapshot(zeros=False)
         assert any(name.startswith("prove.") for name in snap)
         assert any(name.startswith("model.") for name in snap)
-
-    def test_custom_view_subclass(self):
-        class View(StatsView):
-            _counter_fields = {"hits": "x.hits"}
-            _gauge_fields = {"depth": "x.depth"}
-
-        view = View()
-        view.hits += 1
-        view.depth = 4
-        assert view.snapshot() == {"hits": 1, "depth": 4}

@@ -54,6 +54,7 @@ class TestGoldenTrace:
             "hypothesis",
             "delta",
             "stratum",
+            "round",
         } <= kinds
 
 

@@ -7,14 +7,18 @@ from repro.core.ast import Rulebase
 from repro.core.database import Database
 from repro.core.errors import CompilationError
 from repro.core.terms import atom
+from repro.engine.interpretation import Interpretation
 from repro.engine.model import PerfectModelEngine
 from repro.engine.prove import LinearStratifiedProver
-from repro.engine.stratified import perfect_model
 from repro.queries.order import (
     counter_rules,
     domain_parity_rulebase,
     order_assertion_rules,
 )
+
+
+def perfect_model(rulebase, db):
+    return Interpretation(PerfectModelEngine(rulebase, compile="off").model(db))
 
 
 def base_order(names):

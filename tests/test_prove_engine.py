@@ -116,19 +116,19 @@ class TestSearchMechanics:
     def test_true_goals_cached(self):
         prover = LinearStratifiedProver(addition_chain_rulebase(4))
         prover.ask(Database(), "a1")
-        goals_first = prover.stats.sigma_goals
+        goals_first = prover.metrics.counter("prove.sigma_goals").value
         prover.ask(Database(), "a1")
-        assert prover.stats.sigma_goals == goals_first
-        assert prover.stats.sigma_cache_hits >= 1
+        assert prover.metrics.counter("prove.sigma_goals").value == goals_first
+        assert prover.metrics.counter("prove.sigma_cache_hits").value >= 1
 
     def test_clear_caches(self):
         prover = LinearStratifiedProver(addition_chain_rulebase(3))
         prover.ask(Database(), "a1")
         prover.clear_caches()
-        before = prover.stats.sigma_cache_hits
+        before = prover.metrics.counter("prove.sigma_cache_hits").value
         prover.ask(Database(), "a1")
         # After clearing, the first lookup cannot hit the cache.
-        assert prover.stats.sigma_goals > 0
+        assert prover.metrics.counter("prove.sigma_goals").value > 0
 
     def test_memoize_disabled_still_correct(self):
         prover = LinearStratifiedProver(parity_rulebase(), memoize=False)
@@ -150,7 +150,7 @@ class TestSearchMechanics:
         prover = LinearStratifiedProver(rb)
         assert prover.ask(Database(), "p")
         assert prover.ask(Database(), "q")
-        assert prover.stats.cycles_cut >= 1
+        assert prover.metrics.counter("prove.cycles_cut").value >= 1
 
     def test_failure_after_cycle_not_wrongly_cached(self):
         # Failing `q` (whose proof attempt cycles through p) must not
@@ -177,5 +177,5 @@ class TestSearchMechanics:
         for n in (4, 8, 16):
             prover = LinearStratifiedProver(addition_chain_rulebase(n))
             prover.ask(Database(), "a1")
-            counts.append(prover.stats.sigma_goals)
+            counts.append(prover.metrics.counter("prove.sigma_goals").value)
         assert counts[2] - counts[1] <= 3 * (counts[1] - counts[0]) + 8

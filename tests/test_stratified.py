@@ -1,12 +1,26 @@
-"""Unit tests for the stratified Datalog¬ substrate."""
+"""Stratified Datalog¬ on the model engine: perfect models.
+
+A hypothesis-free rulebase is the Apt-Blair-Walker special case of
+:class:`~repro.engine.model.PerfectModelEngine`: strata close bottom-up,
+negated premises read the completed lower strata.
+"""
 
 import pytest
 
 from repro.core.database import Database
-from repro.core.errors import EvaluationError, StratificationError
+from repro.core.errors import StratificationError
 from repro.core.parser import parse_program
 from repro.core.terms import atom
-from repro.engine.stratified import perfect_model, stratified_holds
+from repro.engine.interpretation import Interpretation
+from repro.engine.model import PerfectModelEngine
+
+
+def perfect_model(rulebase, db):
+    return Interpretation(PerfectModelEngine(rulebase).model(db))
+
+
+def stratified_holds(rulebase, db, goal):
+    return PerfectModelEngine(rulebase).ask(db, goal)
 
 
 class TestPerfectModel:
@@ -84,11 +98,6 @@ class TestPerfectModel:
     def test_recursive_negation_rejected(self):
         rb = parse_program("a :- ~b. b :- ~a.")
         with pytest.raises(StratificationError):
-            perfect_model(rb, Database())
-
-    def test_hypothetical_rejected(self):
-        rb = parse_program("p :- q[add: r].")
-        with pytest.raises(EvaluationError):
             perfect_model(rb, Database())
 
     def test_model_contains_database(self):

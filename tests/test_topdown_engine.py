@@ -129,18 +129,18 @@ class TestTabling:
     def test_true_goals_cached(self):
         engine = TopDownEngine(addition_chain_rulebase(4))
         engine.ask(Database(), "a1")
-        first = engine.stats.goals
+        first = engine.metrics.counter("topdown.goals").value
         engine.ask(Database(), "a1")
-        assert engine.stats.goals == first
-        assert engine.stats.cache_hits >= 1
+        assert engine.metrics.counter("topdown.goals").value == first
+        assert engine.metrics.counter("topdown.cache_hits").value >= 1
 
     def test_clear_caches(self):
         engine = TopDownEngine(addition_chain_rulebase(3))
         engine.ask(Database(), "a1")
         engine.clear_caches()
-        before = engine.stats.goals
+        before = engine.metrics.counter("topdown.goals").value
         engine.ask(Database(), "a1")
-        assert engine.stats.goals > before
+        assert engine.metrics.counter("topdown.goals").value > before
 
     def test_cycle_cut_keeps_completeness(self):
         engine = TopDownEngine(
