@@ -13,7 +13,11 @@ the *new* atoms, so extending a database costs O(|additions|) plus the
 touched relations rather than O(|DB|).  The hash is maintained
 incrementally with an order-independent (XOR-combined) element hash,
 which is what makes hypothetical evaluation's ``DB + {B}`` memo keys
-cheap along lattice paths.
+cheap along lattice paths.  The constant set behind ``dom(R, DB)`` is
+carried along the same way once known: an update that brings in no
+new constant and removes no constant's last fact hands its database
+the very same frozenset object, so engines can reuse a sorted domain
+by identity.
 
 Pattern matching carries a ground fast path (set membership) and lazy
 per-(predicate, argument-position) hash maps used to narrow candidate
@@ -52,10 +56,34 @@ def _element_hash(predicate: str, args: tuple[Term, ...]) -> int:
     return (raw * 0x9E3779B97F4A7C15) & _HASH_MASK
 
 
+def _absent(
+    index: Mapping[str, frozenset[tuple[Term, ...]]],
+    candidates: set[Term],
+    first: Iterable[str],
+) -> set[Term]:
+    """The candidates that occur in no row of ``index``.
+
+    Relations named in ``first`` are scanned first and the scan stops
+    as soon as every candidate has been seen, so after a retract it
+    usually ends within a few rows of the retracted relations.
+    """
+    missing = set(candidates)
+    leading = [predicate for predicate in first if predicate in index]
+    order = leading + [p for p in index if p not in leading]
+    for predicate in order:
+        for args in index[predicate]:
+            missing.difference_update(args)
+            if not missing:
+                return missing
+    return missing
+
+
 class Database:
     """A finite set of ground facts, immutable and hashable."""
 
-    __slots__ = ("_index", "_size", "_xor", "_hash", "_facts", "_maps")
+    __slots__ = (
+        "_index", "_size", "_xor", "_hash", "_facts", "_maps", "_constants"
+    )
 
     def __init__(self, facts: Iterable[Atom] = ()):
         index: dict[str, set[tuple[Term, ...]]] = {}
@@ -77,6 +105,7 @@ class Database:
         self._hash: int | None = None
         self._facts: frozenset[Atom] | None = None
         self._maps: dict[str, list[dict[Term, list[tuple[Term, ...]]]]] = {}
+        self._constants: frozenset[Constant] | None = None
 
     @classmethod
     def _from_index(
@@ -84,9 +113,12 @@ class Database:
         index: dict[str, frozenset[tuple[Term, ...]]],
         size: int,
         acc: int,
+        constants: Optional[frozenset[Constant]] = None,
     ) -> "Database":
         """Internal constructor for derived databases (index pre-built,
-        every row already validated by the database it came from)."""
+        every row already validated by the database it came from;
+        ``constants`` is the derived constant set when the parent's was
+        known, else computed on first use)."""
         db = cls.__new__(cls)
         db._index = index
         db._size = size
@@ -94,6 +126,7 @@ class Database:
         db._hash = None
         db._facts = None
         db._maps = {}
+        db._constants = constants
         return db
 
     # ------------------------------------------------------------------
@@ -207,12 +240,24 @@ class Database:
         if not added:
             return self
         new_index = dict(index)
+        constants = self._constants
         for predicate, bucket in fresh.items():
             old = index.get(predicate)
             new_index[predicate] = (
                 frozenset(bucket) if old is None else old | bucket
             )
-        return Database._from_index(new_index, self._size + added, self._xor ^ acc)
+            if constants is not None:
+                new = {
+                    value
+                    for args in bucket
+                    for value in args
+                    if value not in constants
+                }
+                if new:
+                    constants = constants | new
+        return Database._from_index(
+            new_index, self._size + added, self._xor ^ acc, constants
+        )
 
     def without_facts(self, *removals: Atom) -> "Database":
         """Return ``self - {removals}``; ``self`` is unchanged.
@@ -242,8 +287,19 @@ class Database:
                 new_index[predicate] = remaining
             else:
                 del new_index[predicate]
+        constants = self._constants
+        if constants is not None:
+            candidates = {
+                value
+                for bucket in dropped.values()
+                for args in bucket
+                for value in args
+            }
+            gone = _absent(new_index, candidates, dropped)
+            if gone:
+                constants = constants - gone
         return Database._from_index(
-            new_index, self._size - removed, self._xor ^ acc
+            new_index, self._size - removed, self._xor ^ acc, constants
         )
 
     def union(self, other: "Database") -> "Database":
@@ -293,13 +349,7 @@ class Database:
         return self._index.get(predicate, frozenset())
 
     def relations(self) -> Mapping[str, frozenset[tuple[Term, ...]]]:
-        """Read-only view of the whole per-predicate index.
-
-        :class:`~repro.engine.interpretation.Interpretation` adopts this
-        view wholesale when constructed from a database, so building an
-        interpretation over a database is O(#predicates) regardless of
-        how many facts it holds.
-        """
+        """Read-only view of the whole per-predicate index."""
         return MappingProxyType(self._index)
 
     def rows(self, predicate: str) -> set[tuple[_Payload, ...]]:
@@ -385,12 +435,45 @@ class Database:
         return False
 
     def constants(self) -> frozenset[Constant]:
-        """Every constant appearing in some fact."""
-        found: set[Constant] = set()
-        for rows in self._index.values():
-            for args in rows:
-                found.update(args)  # type: ignore[arg-type]
-        return frozenset(found)
+        """Every constant appearing in some fact.
+
+        Computed once per database, or handed down from the database
+        this one was derived from (see the module docstring).
+        """
+        found = self._constants
+        if found is None:
+            collected: set[Constant] = set()
+            for rows in self._index.values():
+                for args in rows:
+                    collected.update(args)  # type: ignore[arg-type]
+            found = self._constants = frozenset(collected)
+        return found
+
+    def diff(self, other: "Database") -> tuple[tuple[Atom, ...], tuple[Atom, ...]]:
+        """``(self − other, other − self)``: the facts a change from this
+        database to ``other`` removes and adds.
+
+        Relations the two databases share by identity (the
+        copy-on-write updates leave untouched relations shared) are
+        skipped without looking at their rows, so diffing a database
+        against one derived from it costs the changed relations only.
+        """
+        removed: list[Atom] = []
+        added: list[Atom] = []
+        theirs = other._index
+        for predicate, rows in self._index.items():
+            other_rows = theirs.get(predicate)
+            if other_rows is rows:
+                continue
+            if other_rows is None:
+                removed.extend(Atom(predicate, args) for args in rows)
+                continue
+            removed.extend(Atom(predicate, args) for args in rows - other_rows)
+            added.extend(Atom(predicate, args) for args in other_rows - rows)
+        for predicate, rows in theirs.items():
+            if predicate not in self._index:
+                added.extend(Atom(predicate, args) for args in rows)
+        return tuple(removed), tuple(added)
 
     def rename(self, mapping: Mapping[_Payload, _Payload]) -> "Database":
         """Apply a renaming (permutation) of constant payloads.

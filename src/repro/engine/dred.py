@@ -8,8 +8,8 @@ reverse direction — given a complete model at ``DB`` and a change to
 it, in time proportional to the change.  It is the engine behind
 
 * ``model(db.without_facts(f))`` after ``model(db)`` — the
-  :class:`~repro.engine.model.PerfectModelEngine` finds the cached
-  superset model and patches it (a REPL/server retract);
+  :class:`~repro.engine.model.PerfectModelEngine` patches the model of
+  the database its previous query ran at (a REPL/server retract);
 * first-class ``[del: ...]`` premises — a recursion-case instance at a
   *smaller* database patches the live parent state downward instead of
   evaluating the child from scratch.
@@ -25,7 +25,8 @@ processed bottom-up and classified per change:
   proper.  *Over-delete* fires each rule with one premise restricted
   to the deleted delta and the rest against the *pre-change* state —
   the exact mirror image of the semi-naive discipline, through the
-  same :func:`~repro.engine.delta.rule_firings` helper — collecting
+  same :func:`~repro.engine.delta.rule_firings` helper, with the
+  delta-restricted premise joined first — collecting
   every derivation a deleted atom supported.  Atoms with remaining EDB
   support (present in ``DB'``) are never deleted.  *Re-derive* then
   checks each over-deleted atom for an alternative derivation from the
@@ -55,7 +56,7 @@ full fixpoint's rule firings.  See docs/INCREMENTAL.md.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..core.ast import Hypothetical, Negated, Positive, Rule
 from ..core.database import Database
@@ -70,7 +71,6 @@ from .interpretation import Interpretation
 __all__ = [
     "DredInstruments",
     "DredSource",
-    "OldView",
     "patch_stratum",
     "stratum_incremental",
     "stratum_reads",
@@ -80,25 +80,25 @@ __all__ = [
 class DredSource:
     """The pre-change model a patch starts from.
 
-    ``relation`` reads the old model's rows per predicate (a cached
-    frozenset model or a live parent
-    :class:`~repro.engine.interpretation.Interpretation`);
+    ``old`` is that model, read in place and never modified: a cached
+    model or a live parent
+    :class:`~repro.engine.interpretation.Interpretation`.
     ``closed_layers`` says how many bottom-up strata of that state are
     complete — higher strata are recomputed fresh.  ``removed`` and
     ``added`` are the EDB-level diff from the old database to the new
     one.
     """
 
-    __slots__ = ("relation", "closed_layers", "removed", "added")
+    __slots__ = ("old", "closed_layers", "removed", "added")
 
     def __init__(
         self,
-        relation: Callable[[str], Iterable[tuple[Term, ...]]],
+        old: Interpretation,
         closed_layers: int,
         removed: tuple[Atom, ...],
         added: tuple[Atom, ...],
     ) -> None:
-        self.relation = relation
+        self.old = old
         self.closed_layers = closed_layers
         self.removed = removed
         self.added = added
@@ -126,39 +126,6 @@ class DredInstruments:
         self.atoms_overdeleted = atoms_overdeleted
         self.atoms_rederived = atoms_rederived
         self.rederive_checks = rederive_checks
-
-
-class OldView:
-    """Lazy pattern-matching view over the pre-change model.
-
-    Per-predicate rows are pulled from the source reader on first use
-    and indexed in an :class:`Interpretation`, so a patch touching two
-    strata never materializes the relations it does not read.
-    """
-
-    __slots__ = ("_relation", "_interp", "_loaded")
-
-    def __init__(self, relation: Callable[[str], Iterable]) -> None:
-        self._relation = relation
-        self._interp = Interpretation()
-        self._loaded: set[str] = set()
-
-    def _load(self, predicate: str) -> None:
-        if predicate not in self._loaded:
-            self._loaded.add(predicate)
-            self._interp.add_rows(predicate, self._relation(predicate))
-
-    def matches(self, pattern: Atom, binding=None):
-        self._load(pattern.predicate)
-        return self._interp.matches(pattern, binding)
-
-    def rows(self, predicate: str) -> frozenset[tuple[Term, ...]]:
-        self._load(predicate)
-        return self._interp.relation(predicate)
-
-    def __contains__(self, item: Atom) -> bool:
-        self._load(item.predicate)
-        return item in self._interp
 
 
 def stratum_reads(rules: Sequence[Rule]) -> Optional[frozenset[str]]:
@@ -198,10 +165,21 @@ def _no_hypothetical(premise, current):
     )
 
 
+def _delta_first(target: Positive):
+    """A join plan putting the delta-restricted premise first, so the
+    premises after it are probed with the deleted atom's constants
+    bound instead of scanning (or indexing) the old model."""
+
+    def plan(positives, bound):
+        return [target] + [item for item in positives if item is not target]
+
+    return plan
+
+
 def patch_stratum(
     rules: tuple[Rule, ...],
     predicates: frozenset[str],
-    old: OldView,
+    old: Interpretation,
     interp: Interpretation,
     db_new: Database,
     domain: Sequence[Constant],
@@ -209,7 +187,6 @@ def patch_stratum(
     added: dict[str, set[Atom]],
     *,
     optimize: bool = False,
-    plan=None,
     instruments: Optional[DredInstruments] = None,
     budget=NULL_BUDGET,
 ) -> tuple[set[Atom], Interpretation]:
@@ -225,7 +202,8 @@ def patch_stratum(
     to see which deletions stuck.
 
     ``removed``/``added`` map predicates to the net atom-level changes
-    accumulated from the EDB diff and the lower strata.
+    accumulated from the EDB diff and the lower strata.  ``old`` is the
+    pre-change model, read in place.
     """
     reads: set[str] = set()
     prep = []
@@ -236,7 +214,7 @@ def patch_stratum(
                 item,
                 set(item.head.variables()),
                 nonlocal_variables(item),
-                delta_sources(item),
+                [(target, _delta_first(target)) for target in delta_sources(item)],
             )
         )
     relevant = reads | predicates
@@ -267,7 +245,7 @@ def patch_stratum(
             budget.poll("dred.round")
         candidates: list[Atom] = []
         for item, head_variables, guards, sources in prep:
-            for target in sources:
+            for target, first in sources:
                 if not frontier.count(target.goal.predicate):
                     continue
                 for head in rule_firings(
@@ -280,8 +258,7 @@ def patch_stratum(
                     hypothetical=_no_hypothetical,
                     negated=_no_negated,
                     domain=domain,
-                    optimize=optimize,
-                    plan=plan,
+                    plan=first,
                 ):
                     if n_overdelete is not None:
                         n_overdelete.value += 1
@@ -306,7 +283,7 @@ def patch_stratum(
     for item in deleted:
         dead_rows.setdefault(item.predicate, set()).add(item.args)
     for predicate in predicates:
-        rows = old.rows(predicate)
+        rows = old.relation_rows(predicate)
         dead = dead_rows.get(predicate)
         if dead:
             interp.add_rows(
@@ -341,7 +318,6 @@ def patch_stratum(
                     ground_first=guards,
                     domain=domain,
                     optimize=optimize,
-                    plan=plan,
                 ),
                 None,
             )

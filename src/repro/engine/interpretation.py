@@ -9,9 +9,9 @@ Two things make this the engines' hot path and shape the design:
 
 * Interpretations are constantly built *over a database* (one per
   lattice node in hypothetical evaluation).  Construction from a
-  :class:`~repro.core.database.Database` adopts the database's
-  per-predicate index as an immutable base layer in O(#predicates);
-  derived atoms go into a mutable overlay on top.
+  :class:`~repro.core.database.Database` shares the database's
+  per-predicate index as an immutable base layer in O(1); derived
+  atoms go into a mutable overlay on top.
 * ``matches`` carries a ground fast path (set membership instead of a
   scan) and lazy per-(predicate, argument-position) hash maps used to
   narrow candidate rows when the pattern has bound positions.  The
@@ -25,7 +25,7 @@ incremented whenever a fast path answers a match query.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from ..core.database import _INDEX_MIN_ROWS, Database
 from ..core.terms import Atom, Term, Variable
@@ -41,15 +41,28 @@ class Interpretation:
 
     __slots__ = ("_base", "_added", "_size", "_maps", "probes")
 
-    def __init__(self, facts: Union[Database, Iterable[Atom]] = ()):
+    def __init__(
+        self,
+        facts: Union[Database, Iterable[Atom]] = (),
+        overlay: Optional[dict[str, set[tuple[Term, ...]]]] = None,
+    ):
+        """An interpretation holding ``facts``.
+
+        Over a :class:`Database`, ``overlay`` may give the derived layer
+        of a finished model (:meth:`overlay` of the interpretation that
+        computed it); the new interpretation then shares it, and is a
+        view of that model that must not be added to.
+        """
         self._maps: dict[str, list[dict[Term, list[tuple[Term, ...]]]]] = {}
         self.probes = None
         if isinstance(facts, Database):
-            self._base: dict[str, frozenset[tuple[Term, ...]]] = dict(
-                facts.relations()
+            # The database's own index, shared rather than copied: an
+            # interpretation never writes its base layer.
+            self._base: Mapping[str, frozenset[tuple[Term, ...]]] = facts._index
+            self._added: dict[str, set[tuple[Term, ...]]] = (
+                overlay if overlay is not None else {}
             )
-            self._added: dict[str, set[tuple[Term, ...]]] = {}
-            self._size = len(facts)
+            self._size = len(facts) + sum(map(len, self._added.values()))
         else:
             self._base = {}
             self._added = {}
@@ -278,6 +291,11 @@ class Interpretation:
 
     def to_frozenset(self) -> frozenset[Atom]:
         return frozenset(self)
+
+    def overlay(self) -> dict[str, set[tuple[Term, ...]]]:
+        """The derived layer above the base database, by predicate
+        (shared, not copied: callers must not mutate it)."""
+        return self._added
 
     def __repr__(self) -> str:
         return f"Interpretation({self._size} atoms)"

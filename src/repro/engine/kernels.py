@@ -447,7 +447,6 @@ class KernelProgram:
         self._kernels: dict[tuple, Optional[Callable]] = {}
         self._sources: dict[int, dict[tuple, str]] = {}
         self._domain_ids: Optional[tuple] = None
-        self._freeze_cache: dict[tuple[str, int], tuple] = {}
 
     def domain_ids(self, domain) -> list[int]:
         """Interned ids for a domain sequence, cached by identity.
@@ -463,39 +462,6 @@ class KernelProgram:
         ids = [self.symbols.intern(item) for item in domain]
         self._domain_ids = (domain, ids)
         return ids
-
-    def freeze(self, interp) -> frozenset:
-        """An interpretation's frozenset-of-atoms model snapshot.
-
-        Equivalent to ``interp.to_frozenset()`` but routed through the
-        symbol table's ground-atom cache: lattice children overlap
-        heavily in derived atoms, so most rows resolve to an existing
-        Atom object (with its hash already cached) instead of a fresh
-        allocation per model.  Base layers are the COW frozensets
-        shared across the hypothesis lattice, so their atom lists are
-        additionally cached per relation version (keyed by identity;
-        the cached tuple pins the frozenset so its id stays valid).
-        """
-        symbols = self.symbols
-        encode = symbols.encode_args
-        make = symbols.make_atom
-        cache = self._freeze_cache
-        out = []
-        for predicate in interp.predicates():
-            base, added = interp.layers(predicate)
-            if base:
-                key = (predicate, id(base))
-                hit = cache.get(key)
-                if hit is None or hit[0] is not base:
-                    atoms = [make(predicate, encode(args)) for args in base]
-                    cache[key] = (base, atoms)
-                else:
-                    atoms = hit[1]
-                out.extend(atoms)
-            if added:
-                for args in added:
-                    out.append(make(predicate, encode(args)))
-        return frozenset(out)
 
     def spec(self, item: Rule) -> Optional[_RuleSpec]:
         key = id(item)

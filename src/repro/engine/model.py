@@ -68,6 +68,22 @@ copied, purely-positive strata over-delete and re-derive in time
 proportional to the change, and negation-/hypothesis-carrying strata
 are re-closed and diffed.  ``dred.models_patched`` counts patches; the
 E23 bench pins the work bound.
+
+Lineage and the model cache
+---------------------------
+Models are cached per database in the per-predicate form their closure
+built: the derived layer of the closed
+:class:`~repro.engine.interpretation.Interpretation`, whose base layer
+is the database's own copy-on-write relations.  A cache hit is a fresh
+view over the two (position maps are rebuilt lazily where a later match
+needs them); only the public :meth:`model` materializes a ``frozenset``
+of atoms.  A top-level cache miss starts from the
+engine's previous top-level model (its *lineage*): the two databases
+are diffed per predicate (:meth:`~repro.core.database.Database.diff`,
+which skips relations they share by identity), a pure addition seeds
+the monotone prefix from that model, and any removal patches it by
+DRed, which reads the old model in place.  The cost of finding the
+source is therefore independent of how many databases are cached.
 """
 
 from __future__ import annotations
@@ -93,10 +109,10 @@ from ..testing import failpoints as _failpoints
 from .body import cost_aware_positive_order, join_mode
 from .budget import NULL_BUDGET, cancelled_error, depth_error
 from .delta import LayerInstruments, close_layer
+from .domain import Domain
 from .dred import (
     DredInstruments,
     DredSource,
-    OldView,
     patch_stratum,
     stratum_incremental,
     stratum_reads,
@@ -130,16 +146,12 @@ class _SeedSource:
 
 class _DemandEntry:
     """One query's demand state: the delegate engine evaluating the
-    rewritten program, the program itself, and the databases whose
-    magic facts have already been counted into ``demand.magic_facts``
-    (the delegate memoizes models, so counting must not repeat)."""
+    rewritten program."""
 
-    __slots__ = ("engine", "program", "counted")
+    __slots__ = ("engine",)
 
-    def __init__(self, engine: "PerfectModelEngine", program) -> None:
+    def __init__(self, engine: "PerfectModelEngine") -> None:
         self.engine = engine
-        self.program = program
-        self.counted: set[Database] = set()
 
 
 class PerfectModelEngine:
@@ -243,14 +255,14 @@ class PerfectModelEngine:
         Internal (set on delegate engines): share the parent engine's
         :class:`~repro.obs.provenance.ProvenanceRecorder` so demanded
         evaluation records into the same DAG.
-    provenance_aux:
+    demand_predicates:
         Internal (set on delegate engines): the demand rewrite's
-        auxiliary predicates (``magic__``/``sup__``/seed), stripped
-        from recorded edges so provenance explains the original
-        program, and from the atoms of an exhaustion's partial result.
+        auxiliary predicates (``magic__``/``sup__``/seed).  Their atoms
+        are counted into ``demand.magic_facts`` as each model is
+        cached, and stripped from recorded edges (so provenance
+        explains the original program) and from the atoms of an
+        exhaustion's partial result.
     """
-
-    _ANCESTOR_SCAN_CAP = 4096
 
     def __init__(
         self,
@@ -271,7 +283,7 @@ class PerfectModelEngine:
         domain_constants: Optional[Iterable[Constant]] = None,
         provenance: bool = False,
         provenance_recorder=None,
-        provenance_aux: Optional[Iterable[str]] = None,
+        demand_predicates: Optional[Iterable[str]] = None,
     ) -> None:
         from ..analysis.monotone import monotone_layer_prefix
         from ..analysis.stratify import negation_strata
@@ -316,6 +328,18 @@ class PerfectModelEngine:
             for rules in self._layer_rules
         ]
         self._seed_prefix = monotone_layer_prefix(self._layer_rules)
+        # A seeded closure only finds derivations that use a new atom.
+        # A prefix rule whose head has a variable its body does not bind
+        # derives one atom per domain constant, and a constant new to
+        # the domain meets no delta: such a prefix is seeded by lineage
+        # only while the domain stays the same.
+        self._seed_needs_domain = any(
+            not set(item.head.variables()).issubset(
+                var for premise in item.body for var in premise.variables()
+            )
+            for rules in self._layer_rules[: self._seed_prefix]
+            for item in rules
+        )
         # Per-stratum deletion-propagation classification: which
         # predicates can invalidate the stratum (None = any), and
         # whether DRed may patch it in place (purely positive rules).
@@ -327,12 +351,18 @@ class PerfectModelEngine:
         ]
         self._strategy = strategy
         self._reuse = bool(reuse_models) and strategy == "seminaive"
-        self._rule_constants = (
-            frozenset(domain_constants)
+        self._dom = Domain(
+            domain_constants
             if domain_constants is not None
-            else frozenset(rulebase.constants())
+            else rulebase.constants()
         )
-        self._cache: dict[Database, frozenset[Atom]] = {}
+        # Each model's derived layer above its database, by predicate
+        # (see "Lineage and the model cache" above).
+        self._cache: dict[Database, dict[str, set]] = {}
+        # Lineage: the last database a public query was answered at,
+        # its model and the domain it was computed over.  A top-level
+        # cache miss seeds or patches from it (see _lineage).
+        self._last: Optional[tuple[Database, Interpretation, list]] = None
         # Compiled-path memo of recursion-case hypothetical decisions:
         # (premise identity, database) -> (premise, {grounding-ids ->
         # verdict}).  Truth is fixed per key because child models are
@@ -363,8 +393,8 @@ class PerfectModelEngine:
             self._provenance = ProvenanceRecorder(self.metrics)
         else:
             self._provenance = NULL_PROVENANCE
-        self._prov_aux = (
-            frozenset(provenance_aux) if provenance_aux else frozenset()
+        self._aux = (
+            frozenset(demand_predicates) if demand_predicates else frozenset()
         )
         if self._provenance.enabled:
             # Lattice-seeded atoms arrive without derivation edges at
@@ -412,6 +442,7 @@ class PerfectModelEngine:
         self._n_strata_skipped = counter("dred.strata_skipped")
         self._n_strata_incremental = counter("dred.strata_incremental")
         self._n_strata_recomputed = counter("dred.strata_recomputed")
+        self._n_magic = counter("demand.magic_facts")
         self._dred_instruments = DredInstruments(
             overdelete_firings=counter("dred.overdelete_firings"),
             atoms_overdeleted=counter("dred.atoms_overdeleted"),
@@ -432,8 +463,7 @@ class PerfectModelEngine:
 
     def domain(self, db: Database) -> list[Constant]:
         """``dom(R, DB)``: all constants of the rulebase and database."""
-        constants = set(self._rule_constants) | set(db.constants())
-        return sorted(constants, key=lambda c: (str(type(c.value)), str(c.value)))
+        return list(self._dom(db))
 
     def model(self, db: Database, *, budget=None) -> frozenset[Atom]:
         """All ground atoms derivable from ``db`` (Definition 3 + NAF).
@@ -443,7 +473,7 @@ class PerfectModelEngine:
         :class:`~repro.core.errors.ResourceExhausted` carrying the
         atoms established so far as a partial result.
         """
-        return self._run(budget, lambda: self._model(db, self.domain(db)))
+        return frozenset(self._run(budget, lambda: self._top_model(db)))
 
     def ask(self, db: Database, query: Query, *, budget=None) -> bool:
         """Decide a query: an atom, a premise, or premise text.
@@ -458,7 +488,7 @@ class PerfectModelEngine:
                 try:
                     return entry.engine.holds(db, premise, budget=budget)
                 finally:
-                    self._absorb_delegate(entry)
+                    self._absorb_delegate(entry.engine)
         return self.holds(db, premise, budget=budget)
 
     def answers(
@@ -473,49 +503,35 @@ class PerfectModelEngine:
             if not isinstance(premise, Positive):
                 raise EvaluationError("answers() needs a plain atom pattern")
             pattern = premise.atom
+        engine = self
         if self._demand_mode != "off":
             entry = self._demand_delegate(db, Positive(pattern))
             if entry is not None:
-                try:
-                    model = entry.engine.model(db, budget=budget)
-                except ResourceExhausted as error:
-                    if (
-                        error.partial.atoms is not None
-                        and error.partial.answers is None
-                    ):
-                        error.partial.answers = self._match_tuples(
-                            error.partial.atoms, pattern
-                        )
-                    self._absorb_delegate(entry)
-                    raise
-                self._absorb_delegate(entry)
-                return self._match_tuples(model, pattern)
+                engine = entry.engine
         try:
-            model = self.model(db, budget=budget)
+            model = engine._run(budget, lambda: engine._top_model(db))
         except ResourceExhausted as error:
             if error.partial.atoms is not None and error.partial.answers is None:
                 error.partial.answers = self._match_tuples(
-                    error.partial.atoms, pattern
+                    Interpretation(error.partial.atoms), pattern
                 )
             raise
+        finally:
+            if engine is not self:
+                self._absorb_delegate(engine)
         return self._match_tuples(model, pattern)
 
     @staticmethod
-    def _match_tuples(
-        atoms: Iterable[Atom], pattern: Atom
-    ) -> set[tuple]:
+    def _match_tuples(model: Interpretation, pattern: Atom) -> set[tuple]:
         variables = list(dict.fromkeys(pattern.variables()))
-        results: set[tuple] = set()
-        interp = Interpretation(atoms)
-        for binding in interp.matches(pattern):
-            results.add(
-                tuple(binding[var].value for var in variables)  # type: ignore[union-attr]
-            )
-        return results
+        return {
+            tuple(binding[var].value for var in variables)  # type: ignore[union-attr]
+            for binding in model.matches(pattern)
+        }
 
     def holds(self, db: Database, premise: Premise, *, budget=None) -> bool:
         """Decide one premise at a database (variables existential)."""
-        domain = self.domain(db)
+        domain = self._dom(db)
         if isinstance(premise, Negated):
             return self._run(
                 budget,
@@ -552,7 +568,7 @@ class PerfectModelEngine:
             raise EvaluationError(
                 "a negated query has no why-proof; ask why_not on its atom"
             )
-        domain = self.domain(db)
+        domain = self._dom(db)
         proof = self._run(budget, lambda: self._replay_any(db, premise, domain))
         if proof is None and self._holds_recorded(db, premise, budget=budget):
             proof = self._run(
@@ -585,7 +601,7 @@ class PerfectModelEngine:
             raise EvaluationError(
                 "why_not of a negation is a why question on its atom"
             )
-        domain = self.domain(db)
+        domain = self._dom(db)
         report = self._run(budget, lambda: self._why_not(db, premise, domain))
         if self._tracer.enabled:
             self._tracer.event(
@@ -615,7 +631,7 @@ class PerfectModelEngine:
             raise EvaluationError(
                 "a negated query has no supporting derivation to inspect"
             )
-        domain = self.domain(db)
+        domain = self._dom(db)
         assumed = self._run(
             budget, lambda: self._assumptions(db, premise, domain)
         )
@@ -651,7 +667,7 @@ class PerfectModelEngine:
                 try:
                     return entry.engine.holds(db, premise, budget=budget)
                 finally:
-                    self._absorb_delegate(entry)
+                    self._absorb_delegate(entry.engine)
         return self.holds(db, premise, budget=budget)
 
     def _query_groundings(
@@ -699,7 +715,7 @@ class PerfectModelEngine:
         def model_of(at: Database) -> Interpretation:
             view = views.get(at)
             if view is None:
-                view = views[at] = Interpretation(self._model(at, domain))
+                view = views[at] = self._model(at, domain)
             return view
 
         ground = next(premise.variables(), None) is None
@@ -751,6 +767,7 @@ class PerfectModelEngine:
     def clear_cache(self) -> None:
         self._cache.clear()
         self._hyp_memo.clear()
+        self._last = None
 
     @property
     def cached_databases(self) -> int:
@@ -850,38 +867,29 @@ class PerfectModelEngine:
             budget=self._budget,
             demand="off",
             demand_seeds=program.bound_seeds,
-            domain_constants=self._rule_constants,
+            domain_constants=self._dom.rule_constants,
             provenance_recorder=(
                 self._provenance if self._provenance.enabled else None
             ),
-            provenance_aux=program.demand_predicates,
+            demand_predicates=program.demand_predicates,
         )
-        return _DemandEntry(engine, program)
+        return _DemandEntry(engine)
 
     def _demand_constants_ok(self, db: Database, goal: Atom) -> bool:
-        constants = set(goal.constants())
-        if constants <= self._rule_constants:
-            return True
-        return constants <= self._rule_constants | set(db.constants())
+        rule_constants = self._dom.rule_constants
+        constants = db.constants()
+        return all(
+            item in rule_constants or item in constants
+            for item in goal.constants()
+        )
 
-    def _absorb_delegate(self, entry: _DemandEntry) -> None:
-        """Fold a delegate call's side effects back into this engine:
-        degradation diagnostics, and the magic facts of any newly
-        materialized model (``demand.magic_facts``)."""
-        if entry.engine.diagnostics:
-            self.diagnostics.extend(entry.engine.diagnostics)
-            entry.engine.diagnostics.clear()
-        predicates = entry.program.demand_predicates
-        fresh = 0
-        for cached_db, atoms in entry.engine._cache.items():
-            if cached_db in entry.counted:
-                continue
-            entry.counted.add(cached_db)
-            fresh += sum(
-                1 for atom in atoms if atom.predicate in predicates
-            )
-        if fresh:
-            self.metrics.counter("demand.magic_facts").value += fresh
+    def _absorb_delegate(self, delegate: "PerfectModelEngine") -> None:
+        """Fold a delegate call's degradation diagnostics back into
+        this engine.  (Its magic facts reach ``demand.magic_facts`` as
+        the delegate caches each model, through the shared registry.)"""
+        if delegate.diagnostics:
+            self.diagnostics.extend(delegate.diagnostics)
+            delegate.diagnostics.clear()
 
     # ------------------------------------------------------------------
     # Resource governance and graceful degradation
@@ -976,7 +984,7 @@ class PerfectModelEngine:
     def _note_exhaustion(self, error: ResourceExhausted) -> None:
         if self._inflight:
             interp, closed = self._inflight[0]
-            aux = self._prov_aux
+            aux = self._aux
             atoms = frozenset(
                 atom for atom in interp if atom.predicate not in aux
             )
@@ -1004,6 +1012,7 @@ class PerfectModelEngine:
         self._kernel_program = None
         self._cache.clear()
         self._hyp_memo.clear()
+        self._last = None
         self._inflight.clear()
         self._inflight_dbs.clear()
         self._n_fallbacks.value += 1
@@ -1021,7 +1030,7 @@ class PerfectModelEngine:
         if self._tracer.enabled:
             self._tracer.event("fallback", "naive", args={"cause": str(error)})
 
-    def _verify_model(self, db: Database, result: frozenset[Atom]) -> None:
+    def _verify_model(self, db: Database, result: Interpretation) -> None:
         """The differential engine's self-check at a top-level model.
 
         Recomputes the model with a fresh naive engine and raises
@@ -1045,8 +1054,9 @@ class PerfectModelEngine:
             reuse_models=False,
             budget=self._budget,
             demand_seeds=self._demand_seeds,
-            domain_constants=self._rule_constants,
+            domain_constants=self._dom.rule_constants,
         ).model(db)
+        result = frozenset(result)
         if reference != result:
             missing = len(reference - result)
             extra = len(result - reference)
@@ -1079,10 +1089,10 @@ class PerfectModelEngine:
         """Is some grounding of the premise derivable at ``db``?"""
         if isinstance(premise, Positive):
             goal = premise.atom
-            model = self._model(db, domain)
+            model = self._top_model(db, domain)
             if goal.is_ground:
                 return goal in model
-            return Interpretation(model).has_match(goal)
+            return model.has_match(goal)
         if isinstance(premise, Hypothetical):
             trace = self._tracer
             budget = self._budget
@@ -1105,70 +1115,51 @@ class PerfectModelEngine:
             return False
         raise EvaluationError(f"cannot decide premise {premise}")
 
-    def _ancestor_seed(self, db: Database) -> Optional[_SeedSource]:
-        """A seed source from the largest cached strict-subset database.
+    def _top_model(
+        self, db: Database, domain: Optional[Sequence[Constant]] = None
+    ) -> Interpretation:
+        """The model at a database a public query is answered at; it
+        becomes the lineage source of the next top-level cache miss."""
+        if domain is None:
+            domain = self._dom(db)
+        model = self._model(db, domain)
+        if self._memoize:
+            self._last = (db, model, domain)
+        return model
 
-        Covers the public incremental-recomputation pattern
-        (``model(db)`` then ``model(db.with_facts(...))``); during
-        lattice recursion the live parent is passed directly instead.
-        """
-        if not self._seed_prefix or not self._cache:
-            return None
-        if len(self._cache) > self._ANCESTOR_SCAN_CAP:
-            return None
-        best: Optional[Database] = None
-        size = len(db)
-        for other in self._cache:
-            if len(other) < size and (best is None or len(other) > len(best)):
-                if other <= db:
-                    best = other
-        if best is None:
-            return None
-        relations: dict[str, list[tuple[Term, ...]]] = {}
-        for item in self._cache[best]:
-            relations.setdefault(item.predicate, []).append(item.args)
-        additions = tuple(db.facts - best.facts)
-        return _SeedSource(
-            lambda predicate: relations.get(predicate, ()),
-            len(self._layer_rules),
-            additions,
-        )
-
-    def _dred_ancestor(
+    def _lineage(
         self, db: Database, domain: Sequence[Constant]
-    ) -> Optional[DredSource]:
-        """A deletion-propagation source from the smallest cached
-        strict-superset database — the public retract pattern
-        (``model(db)`` then ``model(db.without_facts(f))``).
+    ) -> tuple[Optional[_SeedSource], Optional[DredSource]]:
+        """Where a top-level cache miss at ``db`` starts from: the
+        previous top-level model, diffed against ``db``.
 
-        Guarded on domain equality: a removed fact can take constants
-        out of ``dom(R, DB)``, which changes how unbound head variables
-        ground, and then the superset's model speaks a different
-        language than the one to compute.
+        A pure addition seeds the monotone prefix (the public
+        ``model(db)`` then ``model(db.with_facts(...))`` pattern); a
+        change that removes facts is patched by DRed.  Both are guarded
+        on domain equality where the domain matters: a changed
+        ``dom(R, DB)`` changes how unbound head variables ground, and
+        then the old model speaks a different language than the one to
+        compute.
         """
-        if not self._reuse or not self._cache:
-            return None
-        if len(self._cache) > self._ANCESTOR_SCAN_CAP:
-            return None
-        best: Optional[Database] = None
-        size = len(db)
-        for other in self._cache:
-            if len(other) > size and (best is None or len(other) < len(best)):
-                if db <= other:
-                    best = other
-        if best is None:
-            return None
-        if self.domain(best) != list(domain):
-            return None
-        relations: dict[str, list[tuple[Term, ...]]] = {}
-        for item in self._cache[best]:
-            relations.setdefault(item.predicate, []).append(item.args)
-        removed = tuple(best.facts - db.facts)
-        return DredSource(
-            lambda predicate: relations.get(predicate, ()),
-            len(self._layer_rules),
-            removed,
-            (),
+        if self._last is None:
+            return None, None
+        last_db, last_model, last_domain = self._last
+        removed, added = last_db.diff(db)
+        if not removed:
+            if not self._seed_prefix or (
+                self._seed_needs_domain and last_domain != domain
+            ):
+                return None, None
+            return (
+                _SeedSource(
+                    last_model.relation_rows, len(self._layer_rules), added
+                ),
+                None,
+            )
+        if last_domain != domain:
+            return None, None
+        return None, DredSource(
+            last_model, len(self._layer_rules), removed, added
         )
 
     def _model(
@@ -1177,11 +1168,11 @@ class PerfectModelEngine:
         domain: Sequence[Constant],
         parent: Optional[_SeedSource] = None,
         dred: Optional[DredSource] = None,
-    ) -> frozenset[Atom]:
+    ) -> Interpretation:
         cached = self._cache.get(db)
         if cached is not None:
             self._n_cache_hits.value += 1
-            return cached
+            return Interpretation(db, cached)
         if self._has_deletions and db in self._inflight_dbs:
             # Backstop only: goal-aware recursion resolves benign
             # cycles in _hyp_recurse before reaching here.
@@ -1212,7 +1203,7 @@ class PerfectModelEngine:
         )
         top = not self._inflight
         record = (
-            self._provenance.sink(db, aux=self._prov_aux)
+            self._provenance.sink(db, aux=self._aux)
             if self._provenance.enabled
             else None
         )
@@ -1223,10 +1214,8 @@ class PerfectModelEngine:
             self._inflight.append(frame)
             if self._has_deletions:
                 self._inflight_dbs[db] = frame
-            if self._reuse and parent is None:
-                parent = self._ancestor_seed(db)
-                if parent is None and dred is None:
-                    dred = self._dred_ancestor(db, domain)
+            if self._reuse and parent is None and dred is None:
+                parent, dred = self._lineage(db, domain)
             if parent is None and dred is not None and record is None:
                 self._dred_fill(db, domain, frame, dred)
             else:
@@ -1239,6 +1228,8 @@ class PerfectModelEngine:
                     seed_limit = min(parent.closed_layers, self._seed_prefix)
                     seeded_atoms = 0
                     for k in range(seed_limit):
+                        if not self._layer_rules[k]:
+                            continue  # EDB only: already in interp's base
                         for predicate in self._layer_predicates[k]:
                             seeded_atoms += interp.add_rows(
                                 predicate, parent.relation(predicate)
@@ -1272,18 +1263,17 @@ class PerfectModelEngine:
                         if index + 1 < seed_limit:
                             fresh.update(new)
                     frame[1] = index + 1
-            program = self._kernel_program
-            result = (
-                program.freeze(interp)
-                if program is not None
-                else interp.to_frozenset()
-            )
         self._inflight.pop()
         if self._has_deletions:
             self._inflight_dbs.pop(db, None)
-        self._h_model_size.observe(len(result))
+        self._h_model_size.observe(len(interp))
+        overlay = interp.overlay()
         if self._memoize:
-            self._cache[db] = result
+            self._cache[db] = overlay
+            for predicate in self._aux:
+                self._n_magic.value += interp.count(predicate)
+        # Callers get a fresh view: no position maps, no probe counter.
+        result = Interpretation(db, overlay)
         if top and (self._cross_check or _failpoints.enabled):
             self._verify_model(db, result)
         return result
@@ -1306,10 +1296,13 @@ class PerfectModelEngine:
         mid-evaluation — are computed fresh.  The predicate-level
         removed/added accumulators start from the EDB diff and are
         replaced per stratum with the *extension* diff, so only net
-        changes propagate upward.
+        changes propagate upward.  The old model is read in place.
+        Strata without rules hold EDB facts only, which the new
+        interpretation already has in its base and the EDB diff already
+        describes, so nothing is copied or diffed for them.
         """
         interp = frame[0]
-        old = OldView(source.relation)
+        old = source.old
         removed_acc: dict[str, set[Atom]] = {}
         added_acc: dict[str, set[Atom]] = {}
         for item in source.removed:
@@ -1352,9 +1345,21 @@ class PerfectModelEngine:
                         for predicate in (reads | predicates)
                     )
                     if not touched:
-                        for predicate in predicates:
-                            interp.add_rows(predicate, old.rows(predicate))
+                        if rules:
+                            for predicate in predicates:
+                                interp.add_rows(
+                                    predicate, old.relation_rows(predicate)
+                                )
                         self._n_strata_skipped.value += 1
+                        diff = False
+                    elif not rules:
+                        seed = Interpretation()
+                        for predicate in predicates:
+                            seed.update(added_acc.get(predicate, ()))
+                        self._close_layer(
+                            rules, interp, db, domain, index, seed_delta=seed
+                        )
+                        self._n_strata_incremental.value += 1
                         diff = False
                     elif self._dred_incremental[index]:
                         deleted, seed = patch_stratum(
@@ -1385,7 +1390,7 @@ class PerfectModelEngine:
                         diff = True
                 if diff:
                     for predicate in predicates:
-                        old_rows = old.rows(predicate)
+                        old_rows = old.relation(predicate)
                         new_rows = interp.relation(predicate)
                         removed_acc[predicate] = {
                             Atom(predicate, args)
@@ -1602,11 +1607,8 @@ class PerfectModelEngine:
                 # guaranteed derivable there.  Patch downward instead:
                 # the strata below ``layer_index`` are closed at the
                 # parent, and both states share this query's domain.
-                removed = tuple(db.facts - db2.facts)
-                added_facts = tuple(db2.facts - db.facts)
-                dred = DredSource(
-                    interp.relation_rows, layer_index, removed, added_facts
-                )
+                removed, added_facts = db.diff(db2)
+                dred = DredSource(interp, layer_index, removed, added_facts)
         trace = self._tracer
         ctx = (
             trace.span("hypothesis", str(grounded), src=span)

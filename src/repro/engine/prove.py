@@ -61,7 +61,8 @@ from .body import (
     satisfy_body,
 )
 from .budget import NULL_BUDGET, cancelled_error, depth_error
-from .delta import close_layer
+from .delta import LayerInstruments, close_layer
+from .domain import Domain
 from .interpretation import Interpretation
 
 __all__ = ["LinearStratifiedProver"]
@@ -109,7 +110,7 @@ class LinearStratifiedProver:
             )
         self._rulebase = rulebase
         self._strat = stratification or linear_stratification(rulebase)
-        self._rule_constants = frozenset(rulebase.constants())
+        self._dom = Domain(rulebase.constants())
         self._memoize = memoize
         self._join_mode = join_mode(optimize_joins)
         # Delta segments, split into their internal negation layers.
@@ -149,6 +150,11 @@ class LinearStratifiedProver:
         self._n_negation = counter("prove.negation_tests")
         self._n_hypo = counter("prove.hypothesis_expansions")
         self._g_max_depth = self.metrics.gauge("prove.max_depth")
+        self._delta_instruments = LayerInstruments(
+            rounds=counter("prove.delta_rounds"),
+            firings=counter("prove.delta_firings"),
+            derived=counter("prove.delta_derived"),
+        )
 
     @property
     def rulebase(self) -> Rulebase:
@@ -164,8 +170,7 @@ class LinearStratifiedProver:
 
     def domain(self, db: Database) -> list[Constant]:
         """``dom(R, DB)``."""
-        constants = set(self._rule_constants) | set(db.constants())
-        return sorted(constants, key=lambda c: (str(type(c.value)), str(c.value)))
+        return list(self._dom(db))
 
     def ask(self, db: Database, query: Query, *, budget=None) -> bool:
         """Decide a query (atom, premise, or premise text).
@@ -175,7 +180,7 @@ class LinearStratifiedProver:
         budget for this call.
         """
         premise = self._coerce(query)
-        domain = self.domain(db)
+        domain = self._dom(db)
         with self._governed(budget):
             if isinstance(premise, Negated):
                 return not self._exists(Positive(premise.atom), db, domain)
@@ -195,7 +200,7 @@ class LinearStratifiedProver:
             if not isinstance(premise, Positive):
                 raise EvaluationError("answers() needs a plain atom pattern")
             pattern = premise.atom
-        domain = self.domain(db)
+        domain = self._dom(db)
         variables = list(dict.fromkeys(pattern.variables()))
         results: set[tuple] = set()
         with self._governed(budget, partial_answers=results):
@@ -366,7 +371,7 @@ class LinearStratifiedProver:
         if budget.enabled:
             budget.check_depth("prove.sigma_goals", len(self._path))
         cycles_before = self._cycle_events
-        domain = self.domain(db)
+        domain = self._dom(db)
         proven = False
         trace = self._tracer
         goal_ctx = (
@@ -552,7 +557,7 @@ class LinearStratifiedProver:
         self._n_delta_models.value += 1
         if self._budget.enabled:
             self._budget.charge("prove.delta_models")
-        domain = self.domain(db)
+        domain = self._dom(db)
         segment = 2 * stratum - 1
         own = self._strat.predicates_in_segment(segment)
         interp = Interpretation(db)
@@ -601,6 +606,7 @@ class LinearStratifiedProver:
                         hypothetical=hypothetical,
                         plan=plan,
                         optimize=self._join_mode == "greedy",
+                        instruments=self._delta_instruments,
                         tracer=trace,
                         budget=self._budget,
                     )

@@ -50,6 +50,7 @@ from .body import (
     ordered_premises,
 )
 from .budget import NULL_BUDGET, cancelled_error, depth_error
+from .domain import Domain
 
 __all__ = ["TopDownEngine"]
 
@@ -73,14 +74,13 @@ class TopDownEngine:
 
         negation_strata(rulebase)  # raises if negation is recursive
         self._rulebase = rulebase
-        self._rule_constants = frozenset(rulebase.constants())
+        self._dom = Domain(rulebase.constants())
         self._memoize = memoize
         self._join_mode = join_mode(optimize_joins)
         self._true: set[tuple[Atom, Database]] = set()
         self._false: set[tuple[Atom, Database]] = set()
         self._path: set[tuple[Atom, Database]] = set()
         self._cycle_events = 0
-        self._domain_set: frozenset[Constant] = frozenset()
         self._size_oracles: dict[Database, object] = {}
         self._order_cache: dict[tuple, list[Premise]] = {}
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -106,16 +106,14 @@ class TopDownEngine:
 
     def domain(self, db: Database) -> list[Constant]:
         """``dom(R, DB)``."""
-        constants = set(self._rule_constants) | set(db.constants())
-        self._domain_set = frozenset(constants)
-        return sorted(constants, key=lambda c: (str(type(c.value)), str(c.value)))
+        return list(self._dom(db))
 
     def ask(self, db: Database, query: Query, *, budget=None) -> bool:
         """Decide a query (variables existential; ``~A`` is not-exists).
 
         ``budget`` overrides the engine-level budget for this call."""
         premise = self._coerce(query)
-        domain = self.domain(db)
+        domain = self._dom(db)
         with self._governed(budget):
             if isinstance(premise, Negated):
                 return not self._exists(Positive(premise.atom), db, domain)
@@ -134,7 +132,7 @@ class TopDownEngine:
             if not isinstance(premise, Positive):
                 raise EvaluationError("answers() needs a plain atom pattern")
             pattern = premise.atom
-        domain = self.domain(db)
+        domain = self._dom(db)
         variables = list(dict.fromkeys(pattern.variables()))
         results: set[tuple] = set()
         with self._governed(budget, partial_answers=results):
@@ -246,7 +244,8 @@ class TopDownEngine:
         # an out-of-domain constant can only come from the database
         # (checked above).  Without this guard a fact schema like
         # ``p(X).`` would "prove" p(c) for constants no model contains.
-        if any(value not in self._domain_set for value in goal.constants()):
+        members = self._dom.members
+        if any(value not in members for value in goal.constants()):
             return False
         key = (goal, db)
         if key in self._true:

@@ -102,13 +102,13 @@ class SharedRulebase:
 class ClientSession:
     """One client's isolated view over the shared rulebase.
 
-    ``assert_facts``/``retract_facts`` maintain a private overlay; the
-    effective database is rebuilt lazily as
-    ``base + asserted - retracted`` through the COW layers, so deltas
-    cost O(changes), never O(|base|).  Retracting a base fact is
-    allowed and stays private to this session (Sáenz-Pérez's
-    restriction semantics: an assumption set may also *withhold*
-    facts).
+    ``assert_facts``/``retract_facts`` maintain a private overlay and
+    apply each batch to the session's current view through the COW
+    layers, so the view stays ``base + asserted - retracted`` while a
+    batch costs O(changes), never O(|base|) or O(|overlay|).
+    Retracting a base fact is allowed and stays private to this
+    session (Sáenz-Pérez's restriction semantics: an assumption set
+    may also *withhold* facts).
     """
 
     _names = itertools.count(1)
@@ -126,16 +126,18 @@ class ClientSession:
         self.name = name if name else f"s{next(self._names)}"
         self._asserted: dict[Atom, None] = {}
         self._retracted: dict[Atom, None] = {}
-        self._db: Optional[Database] = None
+        self._db = shared.base_db
         self._watches: dict[str, StandingQuery] = {}
         self._watch_names = itertools.count(1)
+        self._compile = compile if compile is not None else shared.compile
         self._session = Session(
             shared.rulebase,
             engine if engine is not None else shared.engine,
             metrics=shared.metrics,
             demand=demand if demand is not None else shared.demand,
-            compile=compile if compile is not None else shared.compile,
+            compile=self._compile,
         )
+        self._model_engine = None
 
     @property
     def engine_name(self) -> str:
@@ -143,14 +145,7 @@ class ClientSession:
 
     @property
     def db(self) -> Database:
-        """The session's effective database (lazily rebuilt)."""
-        if self._db is None:
-            db = self.shared.base_db
-            if self._asserted:
-                db = db.with_facts(*self._asserted)
-            if self._retracted:
-                db = db.without_facts(*self._retracted)
-            self._db = db
+        """The session's effective database."""
         return self._db
 
     # -- fact overlay ---------------------------------------------------
@@ -166,7 +161,7 @@ class ClientSession:
         """
         atoms = [parse_fact(text) for text in texts]
         added = 0
-        view = self.db
+        view = self._db
         shown: set[Atom] = set()
         for atom in atoms:
             if atom not in view and atom not in shown:
@@ -174,7 +169,7 @@ class ClientSession:
                 shown.add(atom)
             self._retracted.pop(atom, None)
             self._asserted.setdefault(atom, None)
-        self._db = None
+        self._db = view.with_facts(*atoms)
         return added
 
     def retract_facts(self, texts: Iterable[str]) -> int:
@@ -187,7 +182,7 @@ class ClientSession:
         """
         atoms = [parse_fact(text) for text in texts]
         removed = 0
-        view = self.db
+        view = self._db
         hidden: set[Atom] = set()
         for atom in atoms:
             if atom in view and atom not in hidden:
@@ -195,7 +190,7 @@ class ClientSession:
                 hidden.add(atom)
             self._asserted.pop(atom, None)
             self._retracted.setdefault(atom, None)
-        self._db = None
+        self._db = view.without_facts(*atoms)
         return removed
 
     def overlay(self) -> dict:
@@ -284,18 +279,20 @@ class ClientSession:
     ) -> frozenset:
         """The full perfect model of the session's database.
 
-        Served by a lazily built bottom-up engine regardless of the
-        query engine, since only :class:`PerfectModelEngine` computes
-        whole models.
+        Only :class:`PerfectModelEngine` computes whole models: a
+        ``"model"`` session answers with its own engine (and its warm
+        cache); any other session lazily builds one with the session's
+        ``compile`` choice.
         """
         from ..engine.model import PerfectModelEngine
 
-        engine = getattr(self, "_model_engine", None)
-        if engine is None:
-            engine = PerfectModelEngine(
-                self.shared.rulebase,
-                metrics=self.shared.metrics,
-                compile=self.shared.compile,
-            )
-            self._model_engine = engine
+        engine = self._session.engine
+        if not isinstance(engine, PerfectModelEngine):
+            if self._model_engine is None:
+                self._model_engine = PerfectModelEngine(
+                    self.shared.rulebase,
+                    metrics=self.shared.metrics,
+                    compile=self._compile,
+                )
+            engine = self._model_engine
         return engine.model(self._target_db(assume), budget=budget)

@@ -1,8 +1,9 @@
 """Scripted client session against a running server (CI smoke).
 
 Drives one end-to-end conversation — control ops, session state,
-what-ifs, budgets, and a deliberately malformed frame — and exits
-non-zero on the first wrong response.  CI starts ``hypodatalog
+what-ifs, budgets, a deliberately malformed frame, and the write path
+of a bottom-up session with a standing query — and exits non-zero on
+the first wrong response.  CI starts ``hypodatalog
 serve`` against the graduation rulebase, runs this module, then sends
 SIGTERM and asserts the clean-drain exit code (docs/SERVER.md):
 
@@ -50,6 +51,9 @@ def run_session(host: str, port: int) -> list[str]:
     def call(frame_bytes: bytes) -> dict:
         stream.write(frame_bytes)
         stream.flush()
+        return read_frame()
+
+    def read_frame() -> dict:
         line = stream.readline()
         if not line:
             raise OSError("server closed the connection")
@@ -116,6 +120,49 @@ def run_session(host: str, port: int) -> list[str]:
     print(f"{'FAIL' if failures and 'malformed' in failures[-1] else 'ok':4} "
           "malformed frame tolerated")
     step("connection survived", "ping", expect_ok("pong", True))
+
+    # The write path: a bottom-up, demand-driven session watching
+    # grad(S).  Each write is followed by a ping, and the server pushes
+    # a write's watch events before it answers the next frame, so the
+    # events sit between the write's response and the pong.
+    step("open model session", "session.open", expect_ok("engine", "model"),
+         session="m", engine="model", demand="on")
+    step("subscribe grad(S)", "subscribe", expect_ok("rows", []),
+         session="m", pattern="grad(S)", watch="g")
+
+    def write(name: str, op: str, facts: list, count: int, added, removed):
+        nonlocal counter
+        key = "added" if op == "assert" else "removed"
+        counter += 2
+        frames = [
+            {"v": 1, "id": counter - 1, "op": op, "session": "m", "facts": facts},
+            {"v": 1, "id": counter, "op": "ping"},
+        ]
+        stream.write(b"".join(encode_frame(frame) for frame in frames))
+        stream.flush()
+        received = [read_frame()]
+        while received[-1].get("id") != counter:
+            received.append(read_frame())
+        response, *events, pong = received
+        want = [{"watch": "g", "added": added, "removed": removed}]
+        got = [
+            {field: event.get(field) for field in ("watch", "added", "removed")}
+            for event in events
+        ]
+        problem = None
+        if not response.get("ok") or response["result"].get(key) != count:
+            problem = f"write response {response!r}"
+        elif not pong.get("ok"):
+            problem = f"ping response {pong!r}"
+        elif got != want:
+            problem = f"watch events {got!r} != {want!r}"
+        if problem:
+            failures.append(f"{name}: {problem}")
+        print(f"{'FAIL' if problem else 'ok':4} {name}")
+
+    write("model session assert", "assert", _TONY, 3, [["tony"]], [])
+    write("model session retract", "retract", _TONY[2:], 1, [], [["tony"]])
+    write("model session re-assert", "assert", _TONY, 1, [["tony"]], [])
 
     stream.close()
     sock.close()

@@ -85,6 +85,33 @@ class TestInspection:
     def test_constants(self, graph):
         assert {c.value for c in graph.constants()} == {"a", "b"}
 
+    def test_constants_follow_updates(self, graph):
+        constants = graph.constants()
+        # No new constant, no constant's last fact gone: the same set.
+        same = graph.with_facts(atom("edge", "b", "a"))
+        assert same.constants() is constants
+        assert same.without_facts(atom("edge", "b", "a")).constants() is constants
+        grown = graph.with_facts(atom("edge", "b", "c"))
+        assert {c.value for c in grown.constants()} == {"a", "b", "c"}
+        shrunk = grown.without_facts(atom("edge", "b", "c"))
+        assert shrunk.constants() == constants
+        emptied = graph.without_facts(atom("node", "b"), atom("edge", "a", "b"))
+        assert {c.value for c in emptied.constants()} == {"a"}
+        assert emptied.constants() == Database(emptied).constants()
+
+    def test_diff(self, graph):
+        changed = graph.with_facts(atom("edge", "b", "a")).without_facts(
+            atom("node", "a")
+        )
+        removed, added = graph.diff(changed)
+        assert set(removed) == {atom("node", "a")}
+        assert set(added) == {atom("edge", "b", "a")}
+        assert changed.diff(graph) == (added, removed)
+        assert graph.diff(graph) == ((), ())
+        other = Database([atom("p", "x")])
+        removed, added = graph.diff(other)
+        assert set(removed) == graph.facts and set(added) == other.facts
+
     def test_matches_binds_variables(self, graph):
         results = list(graph.matches(atom("edge", "X", "Y")))
         assert len(results) == 1

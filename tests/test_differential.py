@@ -235,6 +235,36 @@ class TestSeedingMetrics:
         assert metrics.histogram("model.atoms_seeded").total > 0
         assert incremental == PerfectModelEngine(rules).model(grown)
 
+    def test_seeding_does_not_depend_on_cache_size(self):
+        # The seed source is the engine's previous query, not a search
+        # of the cache, so 10,000 unrelated cached databases change
+        # nothing.
+        rules = parse_program(
+            "path(X, Y) :- edge(X, Y). path(X, Z) :- edge(X, Y), path(Y, Z)."
+        )
+        engine = PerfectModelEngine(rules)
+        for index in range(10_000):
+            engine.model(Database([atom("noise", f"x{index}")]))
+        base = Database.from_relations(
+            {"edge": [("a", "b"), ("b", "c"), ("c", "d")]}
+        )
+        engine.model(base)
+        grown = base.with_facts(atom("edge", "d", "e"))
+        assert engine.model(grown) == PerfectModelEngine(rules).model(grown)
+        assert engine.metrics.counter("model.models_seeded").value == 1
+
+    def test_no_seed_across_a_new_constant_for_unbound_heads(self):
+        # node(X) ranges over dom(R, DB): a seeded closure would never
+        # derive node(d) for the new constant d, since no new atom
+        # meets the rule's body.
+        rules = parse_program("node(X) :- edge(a, b).")
+        base = Database.from_relations({"edge": [("a", "b")]})
+        engine = PerfectModelEngine(rules)
+        engine.model(base)
+        grown = base.with_facts(atom("edge", "a", "d"))
+        assert atom("node", "d") in engine.model(grown)
+        assert engine.metrics.counter("model.models_seeded").value == 0
+
     def test_seminaive_fires_fewer_rules_than_naive(self):
         rulebase = parity_rulebase()
         db = parity_db(["x1", "x2", "x3"])

@@ -36,7 +36,7 @@ from hypothesis import strategies as st
 
 from repro.core.database import Database
 from repro.core.errors import EvaluationError, ValidationError
-from repro.core.parser import parse_database, parse_program
+from repro.core.parser import parse_atom, parse_database, parse_program
 from repro.core.terms import atom
 from repro.engine.model import PerfectModelEngine
 from repro.engine.query import Session
@@ -367,6 +367,17 @@ class TestStandingQueries:
         assert not session.unwatch("w1")
         assert session.watches == ()
 
+    def test_model_op_reuses_a_model_sessions_engine(self):
+        shared = SharedRulebase(PATH_RULES, parse_database("edge(a, b)."))
+        session = ClientSession(shared, engine="model", compile="off")
+        session.watch("path(X, Y)")
+        hits = shared.metrics.counter("model.cache_hits")
+        before = hits.value
+        model = session.model()
+        assert hits.value == before + 1
+        assert atom("path", "a", "b") in model
+        assert session._model_engine is None
+
 
 class _Wire:
     """Minimal async JSON-lines client distinguishing responses from
@@ -542,6 +553,53 @@ mutation_scripts = st.lists(
 )
 
 
+# ``node`` grounds X over dom(R, DB) in a purely positive stratum, so
+# patching a model across a change of domain would keep stale
+# ``node`` atoms; ``out`` adds a negation stratum, which DRed
+# recomputes rather than patches.
+SESSION_RULES = parse_program(
+    """
+    path(X, Y) :- edge(X, Y).
+    path(X, Y) :- edge(X, Z), path(Z, Y).
+    node(X) :- edge(a, b).
+    out(X, Y) :- path(X, Y), ~path(Y, X).
+    out(X, X) :- node(X).
+    """
+)
+
+_SESSION_POOL = [
+    atom("edge", a, b) for a in ("a", "b", "c", "d") for b in ("a", "b", "c", "d")
+]
+
+
+def _mentions_d(fact) -> bool:
+    return any(arg.value == "d" for arg in fact.args)
+
+
+# Every script ends with a fixed tail: a refresh whose diff both adds
+# and removes facts, then one that retracts the last facts naming d,
+# which takes d out of dom(R, DB).
+_SESSION_TAIL = [
+    [("retract", fact) for fact in _SESSION_POOL if _mentions_d(fact)],
+    [("assert", atom("edge", "c", "d")), ("assert", atom("edge", "b", "c"))],
+    [("retract", atom("edge", "b", "c")), ("assert", atom("edge", "d", "a"))],
+    [("retract", atom("edge", "c", "d")), ("retract", atom("edge", "d", "a"))],
+]
+
+session_scripts = st.lists(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["assert", "retract"]),
+            st.sampled_from(_SESSION_POOL),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    min_size=1,
+    max_size=5,
+).map(lambda batches: batches + _SESSION_TAIL)
+
+
 class TestMutationProperties:
     @SETTINGS
     @given(mutation_scripts)
@@ -587,3 +645,39 @@ class TestMutationProperties:
         assert session.answers("path(X, Y)") == Session(PATH_RULES).answers(
             Database(live), "path(X, Y)"
         )
+
+    @pytest.mark.parametrize("demand", ["on", "off"])
+    @SETTINGS
+    @given(batches=session_scripts)
+    def test_session_watch_matches_rebuild(self, demand, batches):
+        """A model session's standing query, refreshed after batches of
+        mutations, accumulates exactly the answers a fresh engine gives
+        on the rebuilt database, and the session view equals (and
+        hashes like) ``base + asserted - retracted``."""
+        base = parse_database("edge(a, b).")
+        shared = SharedRulebase(SESSION_RULES, base)
+        session = ClientSession(shared, engine="model", demand=demand)
+        _, initial = session.watch("out(X, Y)")
+        answers = set(initial)
+        live = set(base.facts)
+        for batch in batches:
+            for op, fact in batch:
+                if op == "assert":
+                    session.assert_facts([str(fact)])
+                    live.add(fact)
+                else:
+                    session.retract_facts([str(fact)])
+                    live.discard(fact)
+            for event in session.refresh_watches():
+                answers -= {tuple(row) for row in event["removed"]}
+                answers |= {tuple(row) for row in event["added"]}
+            rebuilt = Database(live)
+            assert answers == PerfectModelEngine(SESSION_RULES).answers(
+                rebuilt, "out(X, Y)"
+            )
+            overlay = session.overlay()
+            expected = base.with_facts(
+                *map(parse_atom, overlay["asserted"])
+            ).without_facts(*map(parse_atom, overlay["retracted"]))
+            assert session.db == expected == rebuilt
+            assert hash(session.db) == hash(expected) == hash(rebuilt)
