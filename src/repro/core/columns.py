@@ -119,17 +119,20 @@ class ColumnStore:
     Keyed by the *object* (identity-compatible hash of the frozenset),
     exploiting the COW layer's structural sharing: every lattice child
     that inherits a relation unchanged hits the same cache entry.  The
-    cache is bounded (cleared wholesale past ``max_entries``) so giant
-    lattices cannot grow it without limit; encoded relations reachable
-    from live views survive a clear.
+    cache keeps two generations, as the model engine's model cache
+    does: a lookup promotes from the previous one, and
+    :meth:`next_generation` (called as each engine call returns) drops
+    it, so the store holds what the last two calls that used it
+    encoded or read.  Encoded relations reachable from live views
+    survive the drop.
     """
 
-    __slots__ = ("symbols", "max_entries", "_cache")
+    __slots__ = ("symbols", "_cache", "_previous")
 
-    def __init__(self, symbols: Optional[SymbolTable] = None, max_entries: int = 65536) -> None:
+    def __init__(self, symbols: Optional[SymbolTable] = None) -> None:
         self.symbols = symbols if symbols is not None else SymbolTable()
-        self.max_entries = max_entries
         self._cache: dict[frozenset, ColumnarRelation] = {}
+        self._previous: dict[frozenset, ColumnarRelation] = {}
 
     def encode_row(self, args) -> tuple[int, ...]:
         """Encode one ground argument tuple."""
@@ -141,16 +144,24 @@ class ColumnStore:
             return _EMPTY_RELATION
         found = self._cache.get(rows)
         if found is None:
-            if len(self._cache) >= self.max_entries:
-                self._cache.clear()
-            encode = self.symbols.encode_args
-            found = self._cache[rows] = ColumnarRelation(
-                encode(args) for args in rows
-            )
+            found = self._previous.pop(rows, None)
+            if found is None:
+                encode = self.symbols.encode_args
+                found = ColumnarRelation(encode(args) for args in rows)
+            self._cache[rows] = found
         return found
 
+    def next_generation(self) -> None:
+        """Drop what no lookup promoted since the last call; the
+        current generation becomes the previous one.  A call that
+        encoded or read nothing (a model cache hit) leaves both as
+        they are."""
+        if self._cache:
+            self._previous = self._cache
+            self._cache = {}
+
     def __len__(self) -> int:
-        return len(self._cache)
+        return len(self._cache) + len(self._previous)
 
 
 class RelationView:

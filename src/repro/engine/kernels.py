@@ -333,11 +333,11 @@ def generate_source(
         )
         prelude.append(f"HY{k} = ctx.hyp_hook(PREMS[{step.index}], HV{k})")
         prelude.append(f"HM{k} = ctx.hyp_memo(PREMS[{step.index}])")
-        # Raw interned ids: recursion-case decisions are memoized per
-        # (premise, database) right here in int space — the engine
-        # call-back (which decodes, grounds, and models the enlarged
-        # database) runs once per distinct instance and stores the
-        # verdict in HM.
+        # Raw interned ids: recursion-case decisions of the model being
+        # closed are memoized per premise right here in int space — the
+        # engine call-back (which decodes, grounds, and models the
+        # enlarged database) runs once per distinct instance and stores
+        # the verdict in HM.
         values = _tuple_expr([env[v] for v in pvars]) if pvars else "()"
         emit(depth, f"if {collapse}:")
         emit(depth + 1, f"h{k} = t{k} in GB{k} or t{k} in GO{k}")
@@ -425,8 +425,9 @@ class KernelProgram:
     """Per-engine kernel state: symbols, encode cache, compiled kernels.
 
     One program lives as long as its engine; its :class:`SymbolTable`
-    ids and encoded-relation cache are therefore stable across the
-    whole hypothesis lattice the engine explores.
+    ids are therefore stable across the whole hypothesis lattice the
+    engine explores, and its encoded-relation cache keeps what the
+    engine's last two calls used (:meth:`ColumnStore.next_generation`).
     """
 
     def __init__(self, metrics=None) -> None:
@@ -712,7 +713,8 @@ class KernelRun:
         return found
 
     def hyp_memo(self, premise) -> dict:
-        """The (premise, database) decision memo read inline by kernels.
+        """The premise's decision memo for the model being closed, read
+        inline by kernels.
 
         Generated code probes this dict in int space before paying for
         the engine call-back; the call-back stores each recursion-case

@@ -77,13 +77,31 @@ built: the derived layer of the closed
 is the database's own copy-on-write relations.  A cache hit is a fresh
 view over the two (position maps are rebuilt lazily where a later match
 needs them); only the public :meth:`model` materializes a ``frozenset``
-of atoms.  A top-level cache miss starts from the
-engine's previous top-level model (its *lineage*): the two databases
-are diffed per predicate (:meth:`~repro.core.database.Database.diff`,
-which skips relations they share by identity), a pure addition seeds
-the monotone prefix from that model, and any removal patches it by
-DRed, which reads the old model in place.  The cost of finding the
-source is therefore independent of how many databases are cached.
+of atoms.  Each entry also records the domain its model was grounded
+over, and a lookup under another domain misses: a ``[del: ...]`` child
+is grounded over its parent's ``dom(R, DB)``, which may hold constants
+the child database has lost.
+
+The cache keeps two generations.  A lookup checks the current one,
+then promotes from the previous one; when a public call returns, the
+previous generation is dropped (``model.cache_evictions``) and the
+current one takes its place.  So a call sees what it and the call
+before it touched, and nothing a running query has touched or still
+has in flight is ever evicted: a Σ_k lattice shares each child among
+its parents, and evicting mid-query would trade 2^n models for up to
+n! recomputations.  Eviction is sound because a model is a function of
+its database and domain: a dropped one is recomputed if asked for
+again.  A call that looks up no model (a provenance replay) leaves
+both generations as they are.
+
+A top-level cache miss starts from the engine's previous top-level
+model (its *lineage*), which is held apart from the cache so retention
+never changes it: the two databases are diffed per predicate
+(:meth:`~repro.core.database.Database.diff`, which skips relations
+they share by identity), a pure addition seeds the monotone prefix
+from that model, and any removal patches it by DRed, which reads the
+old model in place.  The cost of finding the source is therefore
+independent of how many databases are cached.
 """
 
 from __future__ import annotations
@@ -165,11 +183,13 @@ class PerfectModelEngine:
         linearity is *not* required — this engine evaluates the full
         PSPACE language.
     max_databases:
-        Safety valve: the number of distinct databases whose models may
-        be materialized before :class:`EvaluationError` is raised.
-        Hypothetical evaluation legitimately explores exponentially
-        many databases, so runaway queries are easier to hit than in
-        plain Datalog.
+        Safety valve: the number of models one public call may compute
+        before :class:`EvaluationError` is raised.  Hypothetical
+        evaluation legitimately explores exponentially many databases,
+        so runaway queries are easier to hit than in plain Datalog.
+        Models computed by earlier calls do not count: the cache keeps
+        only what the last two calls touched (see "Lineage and the
+        model cache" above).
     memoize:
         Disable to measure the cost of memoization for the E13 ablation
         bench; leave enabled otherwise.
@@ -191,7 +211,7 @@ class PerfectModelEngine:
         the same head multiset (``model.rule_firings``) and visit the
         same negation tests (``model.negation_tests``) firing for
         firing, while recursion-case hypothetical decisions are
-        memoized per (premise, database, grounding) — so
+        memoized per (premise, grounding) while a model is closed — so
         ``model.hypothesis_expansions`` counts *distinct* expansions
         when compiled instead of one per semi-naive re-fire.  Any rule
         outside the compilable fragment falls back to interpretation
@@ -356,20 +376,19 @@ class PerfectModelEngine:
             if domain_constants is not None
             else rulebase.constants()
         )
-        # Each model's derived layer above its database, by predicate
-        # (see "Lineage and the model cache" above).
-        self._cache: dict[Database, dict[str, set]] = {}
+        # The model cache, current and previous generation (see
+        # "Lineage and the model cache" above): database -> (the domain
+        # the model was grounded over, its derived layer above the
+        # database by predicate).
+        self._cache: dict[Database, tuple[list, dict[str, set]]] = {}
+        self._previous: dict[Database, tuple[list, dict[str, set]]] = {}
         # Lineage: the last database a public query was answered at,
         # its model and the domain it was computed over.  A top-level
         # cache miss seeds or patches from it (see _lineage).
         self._last: Optional[tuple[Database, Interpretation, list]] = None
-        # Compiled-path memo of recursion-case hypothetical decisions:
-        # (premise identity, database) -> (premise, {grounding-ids ->
-        # verdict}).  Truth is fixed per key because child models are
-        # memoized and final; the inner dict is read inline by
-        # generated kernels (see KernelRun.hyp_memo).
-        self._hyp_memo: dict[tuple, tuple] = {}
         self._max_databases = max_databases
+        # Models the running public call has computed (max_databases).
+        self._call_models = 0
         self._memoize = memoize
         self._optimize_joins = optimize_joins
         self._join_mode = join_mode(optimize_joins)
@@ -401,10 +420,11 @@ class PerfectModelEngine:
             # the child database, which would leave replay holes.
             self._reuse = False
         self._cross_check = bool(cross_check)
-        # One ``[interpretation, strata-closed-so-far]`` frame per model
-        # currently being computed, outermost first; the outermost is
-        # harvested for the partial result when evaluation is cut short
-        # (frames are popped on success only).
+        # One ``[interpretation, strata-closed-so-far, hypothesis
+        # decisions]`` frame per model currently being computed,
+        # outermost first (decisions: see _close_layer); the outermost
+        # is harvested for the partial result when evaluation is cut
+        # short (frames are popped on success only).
         self._inflight: list[list] = []
         # The same frames by database.  Add-only recursion grows the
         # database strictly, so it cannot revisit one; deletions make
@@ -428,6 +448,7 @@ class PerfectModelEngine:
         self._n_models = counter("model.models_computed")
         self._n_cache_hits = counter("model.cache_hits")
         self._n_cache_misses = counter("model.cache_misses")
+        self._n_evictions = counter("model.cache_evictions")
         self._n_rounds = counter("model.rule_rounds")
         self._n_firings = counter("model.rule_firings")
         self._n_derived = counter("model.atoms_derived")
@@ -766,12 +787,15 @@ class PerfectModelEngine:
 
     def clear_cache(self) -> None:
         self._cache.clear()
-        self._hyp_memo.clear()
+        self._previous.clear()
         self._last = None
 
     @property
     def cached_databases(self) -> int:
-        return len(self._cache)
+        """Models in the cache: between calls, those the last call that
+        looked one up touched; during a call, also what this one has
+        touched so far."""
+        return len(self._cache) + len(self._previous)
 
     # ------------------------------------------------------------------
     # Internals
@@ -902,15 +926,35 @@ class PerfectModelEngine:
         ``model.invariant`` failpoint) triggers at most one automatic
         degradation to ``strategy="naive"``; a second violation — the
         naive engine disagreeing with itself — escapes to the caller.
+
+        Each call is one generation of the model cache: the models it
+        computes count against ``max_databases``, and on the way out
+        the cache drops what the previous call touched and this one
+        did not.
         """
         if self._degraded:
             self._note_degraded()
-        with self._governed(budget):
-            try:
-                return thunk()
-            except InvariantViolation as error:
-                self._fall_back(error)
-                return thunk()
+        self._call_models = 0
+        try:
+            with self._governed(budget):
+                try:
+                    return thunk()
+                except InvariantViolation as error:
+                    self._fall_back(error)
+                    return thunk()
+        finally:
+            self._next_generation()
+
+    def _next_generation(self) -> None:
+        """Drop the previous generation and make the current one
+        previous, in the model cache and in the kernels' encodings;
+        each is left as it is by a call that did not touch it."""
+        if self._kernel_program is not None:
+            self._kernel_program.store.next_generation()
+        if self._cache:
+            self._n_evictions.value += len(self._previous)
+            self._previous = self._cache
+            self._cache = {}
 
     @property
     def degraded(self) -> bool:
@@ -983,7 +1027,7 @@ class PerfectModelEngine:
 
     def _note_exhaustion(self, error: ResourceExhausted) -> None:
         if self._inflight:
-            interp, closed = self._inflight[0]
+            interp, closed, _ = self._inflight[0]
             aux = self._aux
             atoms = frozenset(
                 atom for atom in interp if atom.predicate not in aux
@@ -1010,9 +1054,7 @@ class PerfectModelEngine:
         # Run the most trusted path only: interpreted bodies, no
         # generated code, until the caller replaces the engine.
         self._kernel_program = None
-        self._cache.clear()
-        self._hyp_memo.clear()
-        self._last = None
+        self.clear_cache()
         self._inflight.clear()
         self._inflight_dbs.clear()
         self._n_fallbacks.value += 1
@@ -1169,10 +1211,14 @@ class PerfectModelEngine:
         parent: Optional[_SeedSource] = None,
         dred: Optional[DredSource] = None,
     ) -> Interpretation:
-        cached = self._cache.get(db)
-        if cached is not None:
+        entry = self._cache.get(db)
+        if entry is None:
+            entry = self._previous.pop(db, None)
+            if entry is not None:
+                self._cache[db] = entry
+        if entry is not None and (entry[0] is domain or entry[0] == domain):
             self._n_cache_hits.value += 1
-            return Interpretation(db, cached)
+            return Interpretation(db, entry[1])
         if self._has_deletions and db in self._inflight_dbs:
             # Backstop only: goal-aware recursion resolves benign
             # cycles in _hyp_recurse before reaching here.
@@ -1184,12 +1230,13 @@ class PerfectModelEngine:
                 "cannot resolve cross-database circular support; "
                 "evaluate this query with the top-down engine"
             )
-        if len(self._cache) >= self._max_databases:
+        if self._call_models >= self._max_databases:
             raise EvaluationError(
-                f"hypothetical evaluation touched more than "
-                f"{self._max_databases} databases; raise max_databases "
+                f"hypothetical evaluation of one query computed more "
+                f"than {self._max_databases} models; raise max_databases "
                 f"if this is intended"
             )
+        self._call_models += 1
         self._n_cache_misses.value += 1
         self._n_models.value += 1
         budget = self._budget
@@ -1210,7 +1257,7 @@ class PerfectModelEngine:
         with ctx:
             interp = Interpretation(db)
             interp.probes = self._n_probes
-            frame = [interp, 0]
+            frame = [interp, 0, {}]
             self._inflight.append(frame)
             if self._has_deletions:
                 self._inflight_dbs[db] = frame
@@ -1269,7 +1316,7 @@ class PerfectModelEngine:
         self._h_model_size.observe(len(interp))
         overlay = interp.overlay()
         if self._memoize:
-            self._cache[db] = overlay
+            self._cache[db] = (domain, overlay)
             for predicate in self._aux:
                 self._n_magic.value += interp.count(predicate)
         # Callers get a fresh view: no position maps, no probe counter.
@@ -1444,18 +1491,21 @@ class PerfectModelEngine:
 
         kernels = None
         if self._kernel_program is not None:
-            memo = self._hyp_memo
+            # Recursion-case decisions live in the frame of the model
+            # being closed (the innermost in flight): kernels read them
+            # only while that closure runs, and nobody once the model
+            # is cached.
+            decisions = self._inflight[-1][2]
 
             def hyp_memo(premise) -> dict:
-                # One decision dict per (premise, database); generated
-                # code probes it inline in int space, so memo hits pay
-                # no Python call at all.  The value tuple keeps the
-                # premise alive so its id cannot be recycled.
-                key = (id(premise), db)
-                found = memo.get(key)
-                if found is None or found[0] is not premise:
-                    found = memo[key] = (premise, {})
-                return found[1]
+                # One decision dict per premise of the rulebase, which
+                # outlives the frame, so the id is not recycled;
+                # generated code probes it inline in int space, so memo
+                # hits pay no Python call at all.
+                found = decisions.get(id(premise))
+                if found is None:
+                    found = decisions[id(premise)] = {}
+                return found
 
             def hyp_call(premise, pvars, ids, decode) -> bool:
                 # The compiled recursion-case guard, reached only on a
@@ -1463,7 +1513,7 @@ class PerfectModelEngine:
                 # collapse test in int space and hands over only
                 # instances that enlarge the database.  Recursion-case
                 # truth is fixed per (instance, db) — the child model
-                # is memoized and final — so the verdict is stored back
+                # is final — so the verdict is stored back
                 # into the kernel-visible memo instead of re-deriving
                 # the child database on every semi-naive re-fire.
                 grounding = {
@@ -1632,7 +1682,7 @@ class PerfectModelEngine:
         whole-model evaluation cannot resolve; refuse with a pointer at
         the engine that can.
         """
-        interp2, closed = state
+        interp2, closed, _ = state
         layer = self._predicate_layer.get(goal.predicate)
         if layer is None or layer < closed:
             return goal in interp2

@@ -49,6 +49,20 @@ def test_store_caches_per_frozenset_object():
     assert len(store) == 1
 
 
+def test_store_keeps_what_the_last_two_generations_read():
+    store = ColumnStore(SymbolTable())
+    kept = frozenset({atom("e", "a", "b").args})
+    dropped = frozenset({atom("e", "b", "c").args})
+    first = store.encoded(kept)
+    store.encoded(dropped)
+    store.next_generation()
+    assert store.encoded(kept) is first  # promoted from the previous one
+    store.next_generation()
+    assert len(store) == 1  # ``dropped`` went unread for a generation
+    store.next_generation()  # nothing read since the last one: no-op
+    assert store.encoded(kept) is first
+
+
 def test_store_serves_structurally_shared_database_relations():
     """COW children share relation objects; the store encodes once."""
     db = Database([atom("e", "a", "b"), atom("e", "b", "c")])

@@ -23,7 +23,10 @@ Pinned here:
 * a hypothesis property: any interleaving of asserts and retracts,
   evaluated by one cache-carrying engine, agrees with a from-scratch
   rebuild at every step (and the database hash stays stable through
-  ``without_facts`` cycles).
+  ``without_facts`` cycles);
+* a model session asked again at databases two or more calls old
+  (whose models the cache has evicted) agrees with a fresh engine,
+  while its cache holds no more than the last two calls looked up.
 """
 
 import asyncio
@@ -378,6 +381,35 @@ class TestStandingQueries:
         assert atom("path", "a", "b") in model
         assert session._model_engine is None
 
+    def test_del_child_model_does_not_leak_across_domains(self):
+        """A ``[del:]`` child is grounded over its parent's domain; a
+        later query at the child database, whose own domain is smaller,
+        must not be answered from that model."""
+        rules = parse_program(
+            """
+            path(X, Y) :- edge(X, Y).
+            path(X, Y) :- edge(X, Z), path(Z, Y).
+            robust(X, Y) :- path(X, Y), path(X, Y)[del: edge(X, Y)].
+            out(X, X) :- edge(a, b).
+            """
+        )
+        shared = SharedRulebase(rules, parse_database("edge(a, b)."))
+        session = ClientSession(shared, engine="model")
+        _, answers = session.watch("out(X, Y)")
+        answers = set(answers)
+        session.assert_facts(["edge(a, a)", "edge(a, d)"])
+        for event in session.refresh_watches():
+            answers |= {tuple(row) for row in event["added"]}
+        assert ("d", "d") in answers
+        session.retract_facts(["edge(a, d)"])
+        for event in session.refresh_watches():
+            answers -= {tuple(row) for row in event["removed"]}
+            answers |= {tuple(row) for row in event["added"]}
+        assert answers == PerfectModelEngine(rules).answers(
+            session.db, "out(X, Y)"
+        )
+        assert ("d", "d") not in answers
+
 
 class _Wire:
     """Minimal async JSON-lines client distinguishing responses from
@@ -534,11 +566,15 @@ SETTINGS = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
+# ``node`` grounds X over dom(R, DB), so a ``[del:]`` child (grounded
+# over its parent's domain) differs from the model a query at the
+# child database computes once the deletion drops a constant.
 MUTATION_RULES = parse_program(
     """
     path(X, Y) :- edge(X, Y).
     path(X, Y) :- edge(X, Z), path(Z, Y).
     robust(X, Y) :- path(X, Y), path(X, Y)[del: edge(X, Y)].
+    node(X) :- edge(a, b).
     """
 )
 
@@ -600,14 +636,54 @@ session_scripts = st.lists(
 ).map(lambda batches: batches + _SESSION_TAIL)
 
 
+# A step either mutates the session's view or moves it back to the
+# database of an earlier call: 1 is the last call's database, which the
+# cache still holds; 2 or more may have been evicted since.
+_revisit_steps = st.one_of(
+    st.tuples(
+        st.just("mutate"),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["assert", "retract"]),
+                st.sampled_from(_SESSION_POOL),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    ),
+    st.tuples(st.just("revisit"), st.integers(min_value=1, max_value=3)),
+)
+
+# Every script ends with two calls at different databases, so the
+# second evicts the first's model, and a return to the older one.
+_REVISIT_TAIL = [
+    ("mutate", [("assert", atom("edge", "c", "d"))]),
+    ("mutate", [("retract", atom("edge", "c", "d"))]),
+    ("revisit", 2),
+]
+
+revisit_scripts = st.lists(_revisit_steps, min_size=1, max_size=8).map(
+    lambda steps: steps + _REVISIT_TAIL
+)
+
+
+def _cached_models(engine: PerfectModelEngine) -> int:
+    """Models held by an engine and its demand delegates."""
+    return engine.cached_databases + sum(
+        entry.engine.cached_databases
+        for entry in engine._demand_cache.values()
+        if entry is not None
+    )
+
+
 class TestMutationProperties:
     @SETTINGS
     @given(mutation_scripts)
     def test_interleaved_mutations_match_rebuild(self, script):
-        """One engine carried across every intermediate database (so
-        its lattice-reuse and DRed paths do the work) agrees at each
-        step with a fresh engine on a from-scratch database, and the
-        incremental hash survives without_facts cycles."""
+        """One engine asked at every intermediate database (so its
+        lineage, DRed and cache eviction paths do the work) agrees at
+        each step with a fresh engine on a from-scratch database, and
+        the incremental hash survives without_facts cycles."""
         engine = PerfectModelEngine(MUTATION_RULES)
         db = Database()
         live = set()
@@ -621,9 +697,9 @@ class TestMutationProperties:
             rebuilt = Database(live)
             assert db == rebuilt
             assert hash(db) == hash(rebuilt)
-        assert engine.model(db) == PerfectModelEngine(MUTATION_RULES).model(
-            Database(live)
-        )
+            assert engine.model(db) == PerfectModelEngine(
+                MUTATION_RULES
+            ).model(rebuilt)
 
     @SETTINGS
     @given(mutation_scripts)
@@ -681,3 +757,46 @@ class TestMutationProperties:
             ).without_facts(*map(parse_atom, overlay["retracted"]))
             assert session.db == expected == rebuilt
             assert hash(session.db) == hash(expected) == hash(rebuilt)
+
+    @pytest.mark.parametrize("demand", ["on", "off"])
+    @SETTINGS
+    @given(steps=revisit_scripts)
+    def test_session_answers_at_old_databases_match_rebuild(
+        self, demand, steps
+    ):
+        """A model session asked after every step — a batch of
+        mutations, or a return to the database of an earlier call —
+        answers as a fresh engine does, while its cache holds no more
+        models than the last two calls looked up and evicts the rest."""
+        base = parse_database("edge(a, b).")
+        shared = SharedRulebase(SESSION_RULES, base)
+        session = ClientSession(shared, engine="model", demand=demand)
+        engine = session._session.engine
+        hits = shared.metrics.counter("model.cache_hits")
+        misses = shared.metrics.counter("model.cache_misses")
+        live = set(base.facts)
+        history: list[frozenset] = []
+        lookups = [0]
+        for kind, payload in steps:
+            if kind == "mutate":
+                for op, fact in payload:
+                    if op == "assert":
+                        session.assert_facts([str(fact)])
+                        live.add(fact)
+                    else:
+                        session.retract_facts([str(fact)])
+                        live.discard(fact)
+            elif len(history) >= payload:
+                target = history[-payload]
+                session.retract_facts([str(fact) for fact in live - target])
+                session.assert_facts([str(fact) for fact in target - live])
+                live = set(target)
+            before = hits.value + misses.value
+            answers = session.answers("out(X, Y)")
+            lookups.append(hits.value + misses.value - before)
+            history.append(frozenset(live))
+            assert answers == PerfectModelEngine(SESSION_RULES).answers(
+                Database(live), "out(X, Y)"
+            )
+            assert _cached_models(engine) <= lookups[-1] + lookups[-2]
+        assert shared.metrics.counter("model.cache_evictions").value > 0

@@ -144,6 +144,38 @@ class TestCacheBehaviour:
         engine.clear_cache()
         assert engine.cached_databases == 0
 
+    def test_cache_keeps_what_the_last_two_calls_touched(self):
+        rb = parse_program("p(X) :- q(X).")
+        engine = PerfectModelEngine(rb)
+        computed = engine.metrics.counter("model.models_computed")
+        first = Database([atom("q", "a")])
+        second = Database([atom("q", "b")])
+        engine.model(first)
+        engine.model(first)  # promoted from the previous call
+        assert computed.value == 1
+        engine.model(second)
+        engine.model(second)
+        engine.model(first)  # two calls old: evicted, computed again
+        assert computed.value == 3
+        assert engine.metrics.counter("model.cache_evictions").value == 2
+        assert engine.cached_databases == 1
+
+    def test_max_databases_counts_one_call_not_the_engines_life(self):
+        """An engine answers far more queries at distinct databases than
+        ``max_databases``, each matching a fresh engine: the guard
+        bounds the models one call computes, not those met before."""
+        rb = parse_program(
+            "path(X, Y) :- edge(X, Y). path(X, Y) :- edge(X, Z), path(Z, Y)."
+        )
+        engine = PerfectModelEngine(rb, max_databases=300)
+        for index in range(1000):
+            db = Database(
+                [atom("edge", "a", f"n{index}"), atom("edge", f"n{index}", "b")]
+            )
+            assert engine.model(db) == PerfectModelEngine(rb).model(db)
+        assert engine.cached_databases == 1
+        assert engine.metrics.counter("model.cache_evictions").value == 999
+
     def test_max_databases_guard(self):
         from repro.library import hamiltonian_rulebase, graph_db
 
