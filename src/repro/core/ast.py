@@ -106,8 +106,9 @@ class Hypothetical:
     introduction as raising data-complexity to EXPTIME.  Semantics:
     ``R, DB |- A[add: B][del: C]`` iff ``R, (DB - {C}) + {B} |- A`` —
     deletions are applied first, so an atom named in both is present
-    afterwards.  Deletion-carrying rulebases are evaluated by the
-    top-down engine only (see :mod:`repro.engine.topdown`).
+    afterwards (:meth:`~repro.core.database.Database.child`).
+    Deletion-carrying rulebases are evaluated by the top-down and model
+    engines; PROVE refuses them (docs/LANGUAGE.md's support matrix).
     """
 
     atom: Atom

@@ -302,6 +302,24 @@ class Database:
             new_index, self._size - removed, self._xor ^ acc, constants
         )
 
+    def child(
+        self, additions: Sequence[Atom], deletions: Sequence[Atom]
+    ) -> "Database":
+        """The database a grounded hypothetical ``A[add: B...][del: C...]``
+        moves to: ``(self − {C}) + {B}``, deletions first (the paper's
+        ``R, (DB − {C}) + {B} |- A``), normalized so a net no-op
+        returns ``self`` *itself*.  Identity matters: engines test the
+        collapse case with ``child is db``, and a ``[del: f][add: f]``
+        round trip would otherwise produce an equal-but-distinct copy
+        that recurses into "fresh" copies of the same database forever.
+        """
+        if not deletions:
+            return self.with_facts(*additions)
+        moved = self.without_facts(*deletions).with_facts(*additions)
+        if moved is not self and moved._size == self._size and moved == self:
+            return self
+        return moved
+
     def union(self, other: "Database") -> "Database":
         """Set union of two databases."""
         if other._size == 0 or other <= self:

@@ -14,7 +14,7 @@ The concrete syntax follows the paper as closely as ASCII allows::
 * ``~A`` (or ``not A``) is negation-by-failure.
 * ``A [add: B1, ..., Bm]`` is a hypothetical premise; an optional
   ``[del: C1, ..., Cj]`` group adds hypothetical deletions (the [4]
-  extension; evaluated by the top-down engine only).
+  extension; evaluated by the top-down and model engines, not PROVE).
 * Facts are rules with no body: ``take(tony, cs250).``
 * Comments run from ``%`` or ``#`` to the end of the line.
 
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from typing import Optional
+from typing import Optional, Union
 
 from .ast import Hypothetical, Negated, Positive, Premise, Rule, Rulebase
 from .database import Database
@@ -42,6 +42,7 @@ __all__ = [
     "parse_database",
     "parse_rule",
     "parse_premise",
+    "as_premise",
     "parse_atom",
 ]
 
@@ -359,6 +360,17 @@ def parse_premise(source: str) -> Premise:
         parser._advance()
     parser.expect_eof()
     return result
+
+
+def as_premise(query: Union[str, Atom, Premise]) -> Premise:
+    """A query in any form the engines accept, as a premise: text is
+    parsed by :func:`parse_premise`, an atom becomes a positive
+    premise, and a premise is returned as is."""
+    if isinstance(query, str):
+        return parse_premise(query)
+    if isinstance(query, Atom):
+        return Positive(query)
+    return query
 
 
 def parse_atom(source: str) -> Atom:

@@ -8,7 +8,8 @@ kind is decided, so this module factors the traversal out:
   (producing bindings);
 * hypothetical premises are delegated to a callback that knows how to
   evaluate them (the model engine recurses into an enlarged database,
-  the PROVE engine calls the lower-level prover);
+  the PROVE engine calls the lower-level prover, the top-down engine
+  decides the goal at the child database);
 * negated premises are delegated to a test callback and evaluated
   *last*, after positives and hypotheticals have bound everything they
   can.
@@ -77,7 +78,7 @@ def satisfy_body(
     negated: NegatedTest,
     binding: Optional[Substitution] = None,
     ground_first: Sequence[Variable] = (),
-    domain: Optional[Iterable[Constant]] = None,
+    domain: Sequence[Constant] = (),
     optimize: bool = False,
     plan: Optional[PositivePlanner] = None,
 ) -> Iterator[Substitution]:
@@ -97,7 +98,10 @@ def satisfy_body(
     ``plan`` reorders the positive premises given the variables bound
     on entry (the engines pass a cost-aware planner closed over live
     relation statistics); ``optimize`` without a ``plan`` falls back to
-    :func:`greedy_positive_order`.
+    :func:`greedy_positive_order`.  The order is fixed when this is
+    called and the returned iterator matches lazily, one generator frame
+    per premise: the top-down engine recurses through it once per
+    hypothetical level, so its frames bound how deep that search goes.
     """
     ordered = ordered_premises(body)
     if plan is not None or optimize:
@@ -113,21 +117,16 @@ def satisfy_body(
          if isinstance(premise, Negated)),
         len(ordered),
     )
-    domain_list = list(domain) if domain is not None else []
+    end = len(ordered)
 
     def extend(position: int, current: Substitution) -> Iterator[Substitution]:
         if position == first_negation and ground_first:
             missing = [var for var in ground_first if var not in current]
             if missing:
-                for grounded in ground_instances(missing, domain_list, current):
-                    yield from continue_from(position, grounded)
+                for grounded in ground_instances(missing, domain, current):
+                    yield from extend(position, grounded)
                 return
-        yield from continue_from(position, current)
-
-    def continue_from(
-        position: int, current: Substitution
-    ) -> Iterator[Substitution]:
-        if position == len(ordered):
+        if position == end:
             yield current
             return
         premise = ordered[position]
@@ -137,8 +136,7 @@ def satisfy_body(
         elif isinstance(premise, Hypothetical):
             for extended in hypothetical(premise, current):
                 yield from extend(position + 1, extended)
-        else:
-            if negated(premise.atom, current):
-                yield from extend(position + 1, current)
+        elif negated(premise.atom, current):
+            yield from extend(position + 1, current)
 
-    yield from extend(0, dict(binding) if binding else {})
+    return extend(0, dict(binding) if binding else {})

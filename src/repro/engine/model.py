@@ -107,12 +107,20 @@ independent of how many databases are cached.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import (
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    Optional,
+    Sequence,
+    Union,
+)
 
 from ..core.ast import Hypothetical, Negated, Positive, Premise, Rule, Rulebase
 from ..core.database import Database
 from ..core.errors import EvaluationError, InvariantViolation, ResourceExhausted
-from ..core.parser import parse_premise
+from ..core.parser import as_premise, parse_premise
 from ..core.terms import Atom, Constant, Term, Variable
 from ..core.unify import Substitution, ground_instances
 from ..obs.metrics import MetricsRegistry
@@ -250,17 +258,6 @@ class PerfectModelEngine:
         ``"on"`` additionally records the rejection diagnostics in
         ``self.diagnostics``.  ``"off"`` (default) never rewrites.
         :meth:`model` is always the full perfect model.
-    demand_seeds:
-        Internal (set on delegate engines): maps hypothetically-called
-        restricted predicates to their all-bound magic predicate, so
-        recursion into a child database seeds it with the ground magic
-        fact for the goal being tested.
-    domain_constants:
-        Internal (set on delegate engines): the constants contributed
-        by the *original* rulebase, overriding this rulebase's own.
-        The rewrite drops rules outside the query cone and adds seed
-        constants, either of which would otherwise change
-        ``dom(R, DB)`` and with it Definition 3's groundings.
     provenance:
         Record a why-provenance edge (firing rule + premise bindings,
         keyed by the database the fixpoint ran over) for every derived
@@ -271,17 +268,6 @@ class PerfectModelEngine:
         closure ``record=None``.  Enabling it disables lattice model
         reuse (seeded atoms would carry no edges) and adds recording
         cost proportional to rule firings.
-    provenance_recorder:
-        Internal (set on delegate engines): share the parent engine's
-        :class:`~repro.obs.provenance.ProvenanceRecorder` so demanded
-        evaluation records into the same DAG.
-    demand_predicates:
-        Internal (set on delegate engines): the demand rewrite's
-        auxiliary predicates (``magic__``/``sup__``/seed).  Their atoms
-        are counted into ``demand.magic_facts`` as each model is
-        cached, and stripped from recorded edges (so provenance
-        explains the original program) and from the atoms of an
-        exhaustion's partial result.
     """
 
     def __init__(
@@ -299,11 +285,7 @@ class PerfectModelEngine:
         budget=None,
         cross_check: bool = False,
         demand: str = "off",
-        demand_seeds: Optional[dict] = None,
-        domain_constants: Optional[Iterable[Constant]] = None,
         provenance: bool = False,
-        provenance_recorder=None,
-        demand_predicates: Optional[Iterable[str]] = None,
     ) -> None:
         from ..analysis.monotone import monotone_layer_prefix
         from ..analysis.stratify import negation_strata
@@ -371,11 +353,7 @@ class PerfectModelEngine:
         ]
         self._strategy = strategy
         self._reuse = bool(reuse_models) and strategy == "seminaive"
-        self._dom = Domain(
-            domain_constants
-            if domain_constants is not None
-            else rulebase.constants()
-        )
+        self._dom = Domain(rulebase.constants())
         # The model cache, current and previous generation (see
         # "Lineage and the model cache" above): database -> (the domain
         # the model was grounded over, its derived layer above the
@@ -393,7 +371,8 @@ class PerfectModelEngine:
         self._optimize_joins = optimize_joins
         self._join_mode = join_mode(optimize_joins)
         self._demand_mode = demand
-        self._demand_seeds = dict(demand_seeds) if demand_seeds else {}
+        # Set on demand delegates only (see _derived).
+        self._demand_seeds: dict[str, str] = {}
         # Per-query delegate engines (or None for counted rejections),
         # keyed by the query goal's (predicate, args): the rewritten
         # program depends on the goal's constants (the seed rule), not
@@ -406,15 +385,12 @@ class PerfectModelEngine:
         )
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._budget = budget if budget is not None else NULL_BUDGET
-        if provenance_recorder is not None:
-            self._provenance = provenance_recorder
-        elif provenance:
-            self._provenance = ProvenanceRecorder(self.metrics)
-        else:
-            self._provenance = NULL_PROVENANCE
-        self._aux = (
-            frozenset(demand_predicates) if demand_predicates else frozenset()
+        self._provenance = (
+            ProvenanceRecorder(self.metrics) if provenance else NULL_PROVENANCE
         )
+        # The demand rewrite's auxiliary predicates, on delegates only
+        # (see _derived).
+        self._aux: frozenset[str] = frozenset()
         if self._provenance.enabled:
             # Lattice-seeded atoms arrive without derivation edges at
             # the child database, which would leave replay holes.
@@ -502,7 +478,7 @@ class PerfectModelEngine:
         Variables in the query are read existentially; a negated
         premise ``~A`` holds iff no instance of ``A`` is derivable.
         """
-        premise = self._coerce(query)
+        premise = as_premise(query)
         if self._demand_mode != "off":
             entry = self._demand_delegate(db, premise)
             if entry is not None:
@@ -583,7 +559,7 @@ class PerfectModelEngine:
         returned proof derives ``A`` at the enlarged database.  The
         result verifies against :func:`~repro.engine.proofs.verify_proof`.
         """
-        premise = self._coerce(query)
+        premise = as_premise(query)
         self._require_provenance("why")
         if isinstance(premise, Negated):
             raise EvaluationError(
@@ -591,7 +567,7 @@ class PerfectModelEngine:
             )
         domain = self._dom(db)
         proof = self._run(budget, lambda: self._replay_any(db, premise, domain))
-        if proof is None and self._holds_recorded(db, premise, budget=budget):
+        if proof is None and self.ask(db, premise, budget=budget):
             proof = self._run(
                 budget, lambda: self._replay_any(db, premise, domain)
             )
@@ -611,13 +587,13 @@ class PerfectModelEngine:
         *full* perfect model (demanded sub-models may lack support
         atoms a witness must cite) and reports, per rule, the first
         premise with no support — including "blocked by negation on X"
-        and "no derivation in child db under [add: ...]".  Works
-        whether or not recording is enabled: absence has no edges to
-        replay.  A hypothetical query descends into the enlarged
-        database; variables are grounded over ``dom(R, DB)`` and the
+        and "no derivation in child db under [add: ...][del: ...]".
+        Works whether or not recording is enabled: absence has no edges
+        to replay.  A hypothetical query descends into the database it
+        moves to; variables are grounded over ``dom(R, DB)`` and the
         witness shown is for the first grounding.
         """
-        premise = self._coerce(query)
+        premise = as_premise(query)
         if isinstance(premise, Negated):
             raise EvaluationError(
                 "why_not of a negation is a why question on its atom"
@@ -646,7 +622,7 @@ class PerfectModelEngine:
         alone).  Existential variables resolve to the first derivable
         grounding, as in :meth:`why`.
         """
-        premise = self._coerce(query)
+        premise = as_premise(query)
         self._require_provenance("assumptions")
         if isinstance(premise, Negated):
             raise EvaluationError(
@@ -656,7 +632,7 @@ class PerfectModelEngine:
         assumed = self._run(
             budget, lambda: self._assumptions(db, premise, domain)
         )
-        if assumed is None and self._holds_recorded(db, premise, budget=budget):
+        if assumed is None and self.ask(db, premise, budget=budget):
             assumed = self._run(
                 budget, lambda: self._assumptions(db, premise, domain)
             )
@@ -678,19 +654,6 @@ class PerfectModelEngine:
                 f"engine with provenance=True (see docs/OBSERVABILITY.md)"
             )
 
-    def _holds_recorded(self, db: Database, premise: Premise, *, budget=None) -> bool:
-        """Evaluate a query so its derivations land in the recorder —
-        the same path :meth:`ask` takes, demand delegation included
-        (the delegate shares this engine's recorder)."""
-        if self._demand_mode != "off":
-            entry = self._demand_delegate(db, premise)
-            if entry is not None:
-                try:
-                    return entry.engine.holds(db, premise, budget=budget)
-                finally:
-                    self._absorb_delegate(entry.engine)
-        return self.holds(db, premise, budget=budget)
-
     def _query_groundings(
         self, db: Database, premise: Premise, domain: Sequence[Constant]
     ) -> Iterator[tuple[Atom, Database]]:
@@ -701,10 +664,10 @@ class PerfectModelEngine:
             if budget.enabled:
                 budget.poll("prov.groundings")
             grounded = premise.substitute(grounding)
+            target = db
             if isinstance(grounded, Hypothetical):
-                yield grounded.atom, self._child_db(db, grounded)
-            else:
-                yield grounded.atom, db
+                target = db.child(grounded.additions, grounded.deletions)
+            yield grounded.atom, target
 
     def _replay_any(
         self, db: Database, premise: Premise, domain: Sequence[Constant]
@@ -798,18 +761,6 @@ class PerfectModelEngine:
         return len(self._cache) + len(self._previous)
 
     # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _coerce(query: Query) -> Premise:
-        if isinstance(query, str):
-            return parse_premise(query)
-        if isinstance(query, Atom):
-            return Positive(query)
-        return query
-
-    # ------------------------------------------------------------------
     # Demand (magic-sets) delegation
     # ------------------------------------------------------------------
 
@@ -878,26 +829,61 @@ class PerfectModelEngine:
                     "sup_rules": program.sup_rules,
                 },
             )
-        engine = PerfectModelEngine(
+        engine = self._derived(
             program.rulebase,
-            max_databases=self._max_databases,
-            memoize=self._memoize,
+            program.bound_seeds,
+            program.demand_predicates,
             optimize_joins=self._optimize_joins,
             strategy=self._strategy,
             compile="off" if self._degraded else self._compile,
             reuse_models=self._reuse,
             metrics=self.metrics,
             tracer=self._tracer,
-            budget=self._budget,
-            demand="off",
-            demand_seeds=program.bound_seeds,
-            domain_constants=self._dom.rule_constants,
-            provenance_recorder=(
-                self._provenance if self._provenance.enabled else None
-            ),
-            demand_predicates=program.demand_predicates,
+            provenance=self._provenance.enabled,
         )
         return _DemandEntry(engine)
+
+    def _derived(
+        self,
+        rulebase: Rulebase,
+        demand_seeds: Mapping[str, str],
+        demand_predicates: frozenset[str] = frozenset(),
+        **options,
+    ) -> "PerfectModelEngine":
+        """An engine over ``rulebase`` (a demand rewrite of this one's,
+        or this one's own) that grounds over this engine's rule
+        constants and shares its budget and model-count valve: a demand
+        delegate, or the cross-check reference.
+
+        The rewrite drops rules outside the query cone and adds seed
+        constants, either of which would otherwise change
+        ``dom(R, DB)`` and with it Definition 3's groundings.
+        ``demand_seeds`` maps hypothetically-called restricted
+        predicates to their all-bound magic predicate, so recursion
+        into a child database seeds it with the ground magic fact for
+        the goal being tested (see _hyp_recurse).
+        ``demand_predicates`` are the rewrite's auxiliary predicates
+        (``magic__``/``sup__``/seed): their atoms are counted into
+        ``demand.magic_facts`` as each model is cached, and stripped
+        from recorded edges (so provenance explains the original
+        program) and from an exhaustion's partial result.  A recording
+        engine records into this engine's recorder, so demanded
+        evaluation lands in the same DAG.
+        """
+        engine = PerfectModelEngine(
+            rulebase,
+            max_databases=self._max_databases,
+            memoize=self._memoize,
+            budget=self._budget,
+            demand="off",
+            **options,
+        )
+        engine._dom = Domain(self._dom.rule_constants)
+        engine._demand_seeds = dict(demand_seeds)
+        engine._aux = demand_predicates
+        if engine._provenance.enabled:
+            engine._provenance = self._provenance
+        return engine
 
     def _demand_constants_ok(self, db: Database, goal: Atom) -> bool:
         rule_constants = self._dom.rule_constants
@@ -1086,17 +1072,13 @@ class PerfectModelEngine:
             _failpoints.trigger("model.invariant")
         if not self._cross_check:
             return
-        reference = PerfectModelEngine(
+        reference = self._derived(
             self._rulebase,
-            max_databases=self._max_databases,
-            memoize=self._memoize,
+            self._demand_seeds,
             optimize_joins=False,
             strategy="naive",
             compile="off",  # diverse redundancy: interpret the reference
             reuse_models=False,
-            budget=self._budget,
-            demand_seeds=self._demand_seeds,
-            domain_constants=self._dom.rule_constants,
         ).model(db)
         result = frozenset(result)
         if reference != result:
@@ -1107,25 +1089,6 @@ class PerfectModelEngine:
                 f"at db[{len(db)}]: {missing} atom(s) missing, "
                 f"{extra} spurious"
             )
-
-    @staticmethod
-    def _child_db(db: Database, grounded: Hypothetical) -> Database:
-        """The database a grounded hypothetical premise moves to:
-        ``(db − deletions) + additions``, deletions first (the paper's
-        ``R, (DB − {C}) + {B} |- A``), normalized so a net no-op
-        returns ``db`` *itself*.  Identity matters: the collapse test
-        is ``child is db``, and a ``[del: f][add: f]`` round trip
-        produces an equal-but-distinct object that would otherwise
-        recurse into "fresh" copies of the same database forever.
-        """
-        if not grounded.deletions:
-            return db.with_facts(*grounded.additions)
-        db2 = db.without_facts(*grounded.deletions).with_facts(
-            *grounded.additions
-        )
-        if db2 is not db and len(db2) == len(db) and db2 == db:
-            return db
-        return db2
 
     def _exists(self, db: Database, premise: Premise, domain) -> bool:
         """Is some grounding of the premise derivable at ``db``?"""
@@ -1143,7 +1106,7 @@ class PerfectModelEngine:
                 if budget.enabled:
                     budget.poll("model.exists")
                 grounded = premise.substitute(binding)
-                db2 = self._child_db(db, grounded)
+                db2 = db.child(grounded.additions, grounded.deletions)
                 self._n_hypo.value += 1
                 ctx = (
                     trace.span("hypothesis", str(grounded), src=premise.span)
@@ -1520,7 +1483,7 @@ class PerfectModelEngine:
                     var: decode[ident] for var, ident in zip(pvars, ids)
                 }
                 grounded = premise.substitute(grounding)
-                db2 = self._child_db(db, grounded)
+                db2 = db.child(grounded.additions, grounded.deletions)
                 if db2 is db:
                     # Collapse case: decided inline by the kernel; kept
                     # as an unmemoized guard (depends on the
@@ -1594,7 +1557,7 @@ class PerfectModelEngine:
         ]
         for grounding in ground_instances(unbound, domain, binding):
             grounded = premise.substitute(grounding)
-            db2 = self._child_db(db, grounded)
+            db2 = db.child(grounded.additions, grounded.deletions)
             if db2 is db:
                 if grounded.atom in interp:
                     yield grounding
@@ -1718,5 +1681,5 @@ class PerfectModelEngine:
             grounded = premise.substitute(grounding)
             if grounded.atom not in delta:
                 continue
-            if self._child_db(db, grounded) is db:
+            if db.child(grounded.additions, grounded.deletions) is db:
                 yield grounding

@@ -10,9 +10,11 @@ applications that motivated hypothetical rules in the first place) a
   recorded on the edge); negated premises carry no subproof — negation
   by failure has no finite constructive witness — but are recorded and
   re-checked by the verifier.
-* :class:`Explainer` — reconstructs a proof for any provable goal by
-  searching rule choices, using a :class:`TopDownEngine` to prune
-  unprovable branches.
+* :class:`Explainer` — reconstructs a proof for any provable goal
+  with the top-down search itself: a :class:`TopDownEngine` decides
+  each goal and enumerates each rule's body groundings, and the
+  explainer keeps the first grounding whose premises all have
+  subproofs.
 * :func:`verify_proof` — an *independent* checker: it validates every
   node against Definition 3 without consulting the explainer (negated
   premises are re-evaluated with a fresh engine).
@@ -25,15 +27,15 @@ engines and is exercised in ``tests/test_proofs.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from ..core.ast import Hypothetical, Negated, Positive, Premise, Rule, Rulebase
 from ..core.database import Database
 from ..core.errors import EvaluationError
-from ..core.parser import parse_premise
+from ..core.parser import as_premise
 from ..core.terms import Atom, Constant
 from ..core.unify import Substitution, ground_instances, match
-from .body import nonlocal_variables, ordered_premises
+from .body import ordered_premises
 from .topdown import TopDownEngine
 
 __all__ = ["Proof", "PremiseStep", "Explainer", "verify_proof", "format_proof"]
@@ -91,17 +93,18 @@ class Proof:
 class Explainer:
     """Builds :class:`Proof` trees for provable goals.
 
-    The search mirrors the top-down engine's, but keeps enough
-    structure to emit the winning rule applications.  The engine's
-    memo tables prune failing branches, so explanation cost stays close
-    to decision cost.
+    The proof search is the top-down engine's own.
+    :class:`TopDownEngine` decides each goal and enumerates a rule's
+    body groundings; a decision takes the first grounding, and the
+    explainer walks them until one has subproofs for all its premises.
+    One governed engine call covers the whole search, at the query's
+    ``dom(R, DB)``, so the engine's memo tables prune failing branches
+    and explanation cost stays close to decision cost.
     """
 
     def __init__(self, rulebase: Rulebase, *, budget=None) -> None:
         self._rulebase = rulebase
         self._engine = TopDownEngine(rulebase, budget=budget)
-        self._budget = budget
-        self._call_budget = budget
 
     @property
     def rulebase(self) -> Rulebase:
@@ -116,39 +119,28 @@ class Explainer:
         hypothetical query the returned proof is rooted at the updated
         database; for a negated query there is nothing to return, and
         :class:`EvaluationError` is raised (negation has no witness).
-        ``budget`` (a :class:`~repro.engine.budget.Budget`) bounds the
-        underlying decision calls for this explanation; it is
-        cumulative across them, so a runaway proof search trips it
-        exactly as a runaway query would (docs/ROBUSTNESS.md).
+        ``budget`` (a :class:`~repro.engine.budget.Budget`) overrides
+        the one given at construction for this explanation; it bounds
+        the whole proof search, so a runaway search trips it exactly
+        as a runaway query would (docs/ROBUSTNESS.md).
         """
-        self._call_budget = budget if budget is not None else self._budget
-        premise = self._coerce(query)
+        premise = as_premise(query)
         if isinstance(premise, Negated):
             raise EvaluationError(
                 "negated queries have no constructive proof to explain"
             )
-        domain = self._engine.domain(db)
-        unbound = list(dict.fromkeys(premise.variables()))
-        for binding in ground_instances(unbound, domain):
-            grounded = premise.substitute(binding)
-            if isinstance(grounded, Hypothetical):
-                updated = db.without_facts(*grounded.deletions).with_facts(
-                    *grounded.additions
+        engine = self._engine
+        domain = engine._dom(db)
+        with engine._governed(budget):
+            unbound = list(dict.fromkeys(premise.variables()))
+            for binding in ground_instances(unbound, domain):
+                grounded = premise.substitute(binding)
+                proof = self._explain_atom(
+                    grounded.atom, _premise_db(grounded, db), domain, set()
                 )
-                proof = self._explain_atom(grounded.atom, updated, domain, set())
-            else:
-                proof = self._explain_atom(grounded.atom, db, domain, set())
-            if proof is not None:
-                return proof
+                if proof is not None:
+                    return proof
         return None
-
-    @staticmethod
-    def _coerce(query: Union[str, Atom, Premise]) -> Premise:
-        if isinstance(query, str):
-            return parse_premise(query)
-        if isinstance(query, Atom):
-            return Positive(query)
-        return query
 
     # ------------------------------------------------------------------
     # Search
@@ -166,7 +158,8 @@ class Explainer:
         key = (goal, db)
         if key in path:
             return None  # minimal proofs never feed a goal to itself
-        if not self._engine.ask(db, goal, budget=self._call_budget):
+        engine = self._engine
+        if not engine._decide(goal, db, domain):
             return None
         path.add(key)
         try:
@@ -174,97 +167,17 @@ class Explainer:
                 head_binding = match(item.head, goal)
                 if head_binding is None:
                     continue
-                body = ordered_premises(item.body)
-                guard = nonlocal_variables(item)
-                for binding in self._satisfying_bindings(
-                    body, 0, head_binding, db, domain, guard
-                ):
-                    steps = self._build_steps(item, body, binding, db, domain, path)
+                for binding in engine._bindings(item, head_binding, db, domain):
+                    steps = self._build_steps(item, binding, db, domain, path)
                     if steps is not None:
                         return Proof(goal, db, item, steps)
         finally:
             path.discard(key)
         return None
 
-    def _satisfying_bindings(
-        self,
-        body: Sequence[Premise],
-        position: int,
-        binding: Substitution,
-        db: Database,
-        domain: Sequence[Constant],
-        guard: Sequence = (),
-    ) -> Iterator[Substitution]:
-        """Ground substitutions under which every premise holds."""
-        if position == len(body):
-            yield dict(binding)
-            return
-        premise = body[position]
-        if isinstance(premise, Negated):
-            missing = [var for var in guard if var not in binding]
-            if missing:
-                for grounded in ground_instances(missing, domain, binding):
-                    yield from self._satisfying_bindings(
-                        body, position, grounded, db, domain, ()
-                    )
-                return
-        if isinstance(premise, Positive):
-            seen = set()
-            pattern = premise.atom
-            variables = list(dict.fromkeys(pattern.variables()))
-            for extended in db.matches(pattern, binding):
-                signature = tuple(extended.get(var) for var in variables)
-                seen.add(signature)
-                yield from self._satisfying_bindings(
-                    body, position + 1, extended, db, domain, guard
-                )
-            if self._rulebase.definition(pattern.predicate):
-                unbound = [var for var in variables if var not in binding]
-                for extended in ground_instances(unbound, domain, binding):
-                    signature = tuple(extended.get(var) for var in variables)
-                    if signature in seen:
-                        continue
-                    if self._engine.ask(
-                        db, pattern.substitute(extended), budget=self._call_budget
-                    ):
-                        yield from self._satisfying_bindings(
-                            body, position + 1, extended, db, domain, guard
-                        )
-        elif isinstance(premise, Hypothetical):
-            unbound = [
-                var
-                for var in dict.fromkeys(premise.variables())
-                if var not in binding
-            ]
-            for extended in ground_instances(unbound, domain, binding):
-                grounded = premise.substitute(extended)
-                updated = db.without_facts(*grounded.deletions).with_facts(
-                    *grounded.additions
-                )
-                if self._engine.ask(
-                    updated, grounded.atom, budget=self._call_budget
-                ):
-                    yield from self._satisfying_bindings(
-                        body, position + 1, extended, db, domain, guard
-                    )
-        else:  # Negated: remaining variables are local to the negation
-            pattern = premise.atom.substitute(binding)
-            unbound = list(dict.fromkeys(pattern.variables()))
-            holds = not any(
-                self._engine.ask(
-                    db, pattern.substitute(grounding), budget=self._call_budget
-                )
-                for grounding in ground_instances(unbound, domain)
-            )
-            if holds:
-                yield from self._satisfying_bindings(
-                    body, position + 1, binding, db, domain, guard
-                )
-
     def _build_steps(
         self,
         item: Rule,
-        body: Sequence[Premise],
         binding: Substitution,
         db: Database,
         domain: Sequence[Constant],
@@ -274,24 +187,25 @@ class Explainer:
         (possible despite engine-provability when the only derivations
         run through the current path)."""
         steps: list[PremiseStep] = []
-        for premise in body:
+        for premise in ordered_premises(item.body):
             grounded = premise.substitute(binding)
-            if isinstance(grounded, Positive):
-                subproof = self._explain_atom(grounded.atom, db, domain, path)
-                if subproof is None:
-                    return None
-                steps.append(PremiseStep(grounded, subproof))
-            elif isinstance(grounded, Hypothetical):
-                updated = db.without_facts(*grounded.deletions).with_facts(
-                    *grounded.additions
-                )
-                subproof = self._explain_atom(grounded.atom, updated, domain, path)
-                if subproof is None:
-                    return None
-                steps.append(PremiseStep(grounded, subproof))
-            else:
+            if isinstance(grounded, Negated):
                 steps.append(PremiseStep(grounded, None))
+                continue
+            subproof = self._explain_atom(
+                grounded.atom, _premise_db(grounded, db), domain, path
+            )
+            if subproof is None:
+                return None
+            steps.append(PremiseStep(grounded, subproof))
         return tuple(steps)
+
+
+def _premise_db(premise: Premise, db: Database) -> Database:
+    """The database a ground premise's goal is proved at."""
+    if isinstance(premise, Hypothetical):
+        return db.child(premise.additions, premise.deletions)
+    return db
 
 
 def verify_proof(rulebase: Rulebase, proof: Proof) -> bool:

@@ -48,7 +48,7 @@ from ..analysis.stratify import (
 from ..core.ast import Hypothetical, Negated, Positive, Premise, Rule, Rulebase
 from ..core.database import Database
 from ..core.errors import EvaluationError, ResourceExhausted
-from ..core.parser import parse_premise
+from ..core.parser import as_premise, parse_premise
 from ..core.terms import Atom, Constant, Variable
 from ..core.unify import Substitution, ground_instances, match
 from ..analysis.planner import annotate_plan, idb_aware_sizes
@@ -179,7 +179,7 @@ class LinearStratifiedProver:
         of ``A`` is provable.  ``budget`` overrides the prover-level
         budget for this call.
         """
-        premise = self._coerce(query)
+        premise = as_premise(query)
         domain = self._dom(db)
         with self._governed(budget):
             if isinstance(premise, Negated):
@@ -265,14 +265,6 @@ class LinearStratifiedProver:
     # ------------------------------------------------------------------
     # Dispatch (the PROVE cascade)
     # ------------------------------------------------------------------
-
-    @staticmethod
-    def _coerce(query: Query) -> Premise:
-        if isinstance(query, str):
-            return parse_premise(query)
-        if isinstance(query, Atom):
-            return Positive(query)
-        return query
 
     def _cost_plan(self, db: Database, domain: Sequence[Constant]):
         """Cost-aware positive-premise planner for the current database.

@@ -20,6 +20,13 @@ depth-first search over rule choices with
   construction): a negated predicate sits strictly below the querying
   rule, so its decision can never depend on an in-progress goal.
 
+A rule body is grounded by the shared
+:func:`~repro.engine.body.satisfy_body`, with this engine's premise
+deciders as its callbacks and its join order as the plan; a goal is
+proven by the first grounding.  The
+:class:`~repro.engine.proofs.Explainer` walks the same groundings to
+build proofs, so explanation uses this search instead of mirroring it.
+
 This is the evaluator of choice for rulebases outside the linearly
 stratified fragment (where :class:`~repro.engine.prove.LinearStratifiedProver`
 does not apply): Example 3's joint-degree policy, Example 10, and any
@@ -31,23 +38,23 @@ that much.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, Optional, Sequence, Union
+from functools import partial
+from typing import Iterator, Optional, Union
 
-from ..core.ast import Hypothetical, Negated, Positive, Premise, Rulebase
+from ..core.ast import Hypothetical, Negated, Positive, Premise, Rule, Rulebase
 from ..core.database import Database
 from ..core.errors import EvaluationError, ResourceExhausted
-from ..core.parser import parse_premise
-from ..core.terms import Atom, Constant, Variable
+from ..core.parser import as_premise, parse_premise
+from ..core.terms import Atom, Constant
 from ..core.unify import Substitution, ground_instances, match
 from ..analysis.planner import annotate_plan, idb_aware_sizes
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_SPAN, NULL_TRACER, Tracer
 from .body import (
     cost_aware_positive_order,
-    greedy_positive_order,
     join_mode,
     nonlocal_variables,
-    ordered_premises,
+    satisfy_body,
 )
 from .budget import NULL_BUDGET, cancelled_error, depth_error
 from .domain import Domain
@@ -82,7 +89,11 @@ class TopDownEngine:
         self._path: set[tuple[Atom, Database]] = set()
         self._cycle_events = 0
         self._size_oracles: dict[Database, object] = {}
-        self._order_cache: dict[tuple, list[Premise]] = {}
+        self._order_cache: dict[tuple, list[Positive]] = {}
+        # Definition 3's ground-before-negation variables, per rule.
+        self._ground_first = {
+            id(item): nonlocal_variables(item) for item in rulebase.rules
+        }
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._budget = budget if budget is not None else NULL_BUDGET
@@ -112,7 +123,7 @@ class TopDownEngine:
         """Decide a query (variables existential; ``~A`` is not-exists).
 
         ``budget`` overrides the engine-level budget for this call."""
-        premise = self._coerce(query)
+        premise = as_premise(query)
         domain = self._dom(db)
         with self._governed(budget):
             if isinstance(premise, Negated):
@@ -196,42 +207,20 @@ class TopDownEngine:
     # The search
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _coerce(query: Query) -> Premise:
-        if isinstance(query, str):
-            return parse_premise(query)
-        if isinstance(query, Atom):
-            return Positive(query)
-        return query
-
     def _exists(self, premise: Premise, db: Database, domain) -> bool:
         budget = self._budget
         unbound = list(dict.fromkeys(premise.variables()))
         for binding in ground_instances(unbound, domain):
             if budget.enabled:
                 budget.poll("topdown.exists")
-            if self._decide_premise(premise.substitute(binding), db, domain):
+            grounded = premise.substitute(binding)
+            if isinstance(grounded, Hypothetical):
+                held = self._expand_hypothetical(db, domain, grounded, {})
+                if next(held, None) is not None:
+                    return True
+            elif self._decide(grounded.atom, db, domain):
                 return True
         return False
-
-    def _decide_premise(self, premise: Premise, db: Database, domain) -> bool:
-        if isinstance(premise, Hypothetical):
-            updated = db.without_facts(*premise.deletions).with_facts(
-                *premise.additions
-            )
-            self._n_hypo.value += 1
-            trace = self._tracer
-            ctx = (
-                trace.span("hypothesis", str(premise), src=premise.span)
-                if trace.enabled
-                else NULL_SPAN
-            )
-            with ctx:
-                return self._decide(premise.atom, updated, domain)
-        if isinstance(premise, Negated):
-            self._n_negation.value += 1
-            return not self._decide(premise.atom, db, domain)
-        return self._decide(premise.atom, db, domain)
 
     def _decide(self, goal: Atom, db: Database, domain) -> bool:
         """Is the ground atom derivable at ``db``?"""
@@ -279,16 +268,14 @@ class TopDownEngine:
                 binding = match(item.head, goal)
                 if binding is None:
                     continue
-                body = self._plan_body(item, binding, db, domain)
-                guard = nonlocal_variables(item)
                 rule_ctx = (
                     trace.span("rule", item.head.predicate, src=item.span)
                     if trace.enabled
                     else NULL_SPAN
                 )
                 with rule_ctx:
-                    satisfied = self._satisfy(body, 0, binding, db, domain, guard)
-                if satisfied:
+                    found = next(self._bindings(item, binding, db, domain), None)
+                if found is not None:
                     proven = True
                     break
         self._path.discard(key)
@@ -300,23 +287,45 @@ class TopDownEngine:
             self._false.add(key)
         return False
 
-    def _plan_body(
-        self, item, binding: Substitution, db: Database, domain
-    ) -> list[Premise]:
-        """The body in evaluation order under the active join policy.
+    def _bindings(
+        self, item: Rule, binding: Substitution, db: Database, domain
+    ) -> Iterator[Substitution]:
+        """The groundings under which the rule's body holds at ``db``,
+        extending the head match ``binding`` (Definition 3 over the
+        query's ``domain``), lazily, in the active join order.
 
-        Cost plans are memoized per (rule, bound variables, database):
-        the search decides the same goal shape at the same database
-        many times, and the plan depends on nothing else.
+        :meth:`_decide` stops at the first; the
+        :class:`~repro.engine.proofs.Explainer` walks them until one
+        yields a proof.
         """
-        body = ordered_premises(item.body)
-        if self._join_mode == "textual":
-            return body
-        positives = [p for p in body if isinstance(p, Positive)]
-        rest = [p for p in body if not isinstance(p, Positive)]
-        if self._join_mode != "cost":
-            return list(greedy_positive_order(positives, binding.keys())) + rest
-        key = (id(item), frozenset(binding.keys()), db)
+        plan = None
+        if self._join_mode == "cost":
+
+            def plan(positives, bound):
+                return self._cost_order(item, positives, bound, db, domain)
+
+        return satisfy_body(
+            item.body,
+            positive=partial(self._match_positive, db, domain),
+            hypothetical=partial(self._expand_hypothetical, db, domain),
+            negated=partial(self._refuted, db, domain),
+            binding=binding,
+            ground_first=self._ground_first[id(item)],
+            domain=domain,
+            optimize=self._join_mode == "greedy",
+            plan=plan,
+        )
+
+    def _cost_order(
+        self, item: Rule, positives, bound, db: Database, domain
+    ) -> list[Positive]:
+        """The rule's positive premises in cost order.
+
+        Memoized per (rule, bound variables, database): the search
+        decides the same goal shape at the same database many times,
+        and the order depends on nothing else.
+        """
+        key = (id(item), frozenset(bound), db)
         cached = self._order_cache.get(key)
         if cached is not None:
             self._n_plan_hits.value += 1
@@ -326,8 +335,8 @@ class TopDownEngine:
         if sizes is None:
             sizes = idb_aware_sizes(self._rulebase, db.count, len(domain))
             self._size_oracles[db] = sizes
-        order = cost_aware_positive_order(
-            positives, binding.keys(), sizes, len(domain)
+        order = list(
+            cost_aware_positive_order(positives, bound, sizes, len(domain))
         )
         trace = self._tracer
         if trace.enabled and order:
@@ -336,82 +345,53 @@ class TopDownEngine:
                 " ".join(p.atom.predicate for p in order),
                 src=item.span,
                 args={
-                    "order": annotate_plan(
-                        order, binding.keys(), sizes, len(domain)
-                    )
+                    "order": annotate_plan(order, bound, sizes, len(domain))
                 },
             )
-        planned = list(order) + rest
-        self._order_cache[key] = planned
-        return planned
+        self._order_cache[key] = order
+        return order
 
-    def _satisfy(
-        self,
-        body: Sequence[Premise],
-        position: int,
-        binding: Substitution,
-        db: Database,
-        domain,
-        guard: Sequence[Variable] = (),
+    def _expand_hypothetical(
+        self, db: Database, domain, premise: Hypothetical, binding: Substitution
+    ) -> Iterator[Substitution]:
+        """Inference rule 2: the groundings of the premise's free
+        variables over the domain under which its goal holds at the
+        database the ground premise moves to, still grounded over the
+        query's domain."""
+        unbound = [
+            var for var in dict.fromkeys(premise.variables()) if var not in binding
+        ]
+        trace = self._tracer
+        for grounding in ground_instances(unbound, domain, binding):
+            grounded = premise.substitute(grounding)
+            updated = db.child(grounded.additions, grounded.deletions)
+            self._n_hypo.value += 1
+            ctx = (
+                trace.span("hypothesis", str(grounded), src=premise.span)
+                if trace.enabled
+                else NULL_SPAN
+            )
+            with ctx:
+                decided = self._decide(grounded.atom, updated, domain)
+            if decided:
+                yield grounding
+
+    def _refuted(
+        self, db: Database, domain, pattern: Atom, binding: Substitution
     ) -> bool:
-        """Can the body from ``position`` on be satisfied under binding?
-
-        ``guard`` lists the rule's non-local variables; any still
-        unbound when the first negated premise is reached are grounded
-        over the domain first (Definition 3 quantifies them outside
-        the negation).
-        """
-        if position == len(body):
-            return True
-        premise = body[position]
-        if isinstance(premise, Positive):
-            for extended in self._match_positive(premise.atom, binding, db, domain):
-                if self._satisfy(body, position + 1, extended, db, domain, guard):
-                    return True
-            return False
-        if isinstance(premise, Hypothetical):
-            unbound = [
-                var
-                for var in dict.fromkeys(premise.variables())
-                if var not in binding
-            ]
-            trace = self._tracer
-            for grounding in ground_instances(unbound, domain, binding):
-                grounded = premise.substitute(grounding)
-                updated = db.without_facts(*grounded.deletions).with_facts(
-                    *grounded.additions
-                )
-                self._n_hypo.value += 1
-                ctx = (
-                    trace.span("hypothesis", str(grounded), src=premise.span)
-                    if trace.enabled
-                    else NULL_SPAN
-                )
-                with ctx:
-                    decided = self._decide(grounded.atom, updated, domain)
-                if decided:
-                    if self._satisfy(body, position + 1, grounding, db, domain, guard):
-                        return True
-            return False
-        # Negated premises: ground the rule's remaining non-local
-        # variables first, then read leftover (truly local) variables
-        # as quantified inside the negation.
-        missing = [var for var in guard if var not in binding]
-        if missing:
-            for grounded in ground_instances(missing, domain, binding):
-                if self._satisfy(body, position, grounded, db, domain, ()):
-                    return True
-            return False
+        """Negation as failure: no instance of the pattern under
+        ``binding`` is derivable.  Variables still unbound are local to
+        the negation, hence quantified inside it."""
         self._n_negation.value += 1
-        pattern = premise.atom.substitute(binding)
+        pattern = pattern.substitute(binding)
         unbound = list(dict.fromkeys(pattern.variables()))
         for grounding in ground_instances(unbound, domain):
             if self._decide(pattern.substitute(grounding), db, domain):
                 return False
-        return self._satisfy(body, position + 1, binding, db, domain, guard)
+        return True
 
     def _match_positive(
-        self, pattern: Atom, binding: Substitution, db: Database, domain
+        self, db: Database, domain, pattern: Atom, binding: Substitution
     ) -> Iterator[Substitution]:
         """Bindings making a positive premise hold: database matches
         first, then derived instances over the domain."""

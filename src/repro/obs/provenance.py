@@ -25,7 +25,7 @@ actually happened:
 * :func:`explain_absence` — a *why-not* witness for an atom outside
   the model: per candidate rule, the first premise with no support
   (including "blocked by negation on X" and "no derivation in child
-  db under [add: ...]").
+  db under [add: ...][del: ...]").
 * :meth:`ProvenanceRecorder.assumptions` — the set of hypothetical
   additions a derivation actually used, minimized per node over the
   recorded alternative edges.
@@ -268,9 +268,9 @@ class ProvenanceRecorder:
                                 break
                             steps.append(PremiseStep(grounded, sub))
                         elif isinstance(grounded, Hypothetical):
-                            child = at.without_facts(
-                                *grounded.deletions
-                            ).with_facts(*grounded.additions)
+                            child = at.child(
+                                grounded.additions, grounded.deletions
+                            )
                             sub = build(grounded.atom, child, path)
                             if sub is None:
                                 break
@@ -328,9 +328,9 @@ class ProvenanceRecorder:
                         if isinstance(grounded, Positive):
                             sub = best(grounded.atom, at, path)
                         elif isinstance(grounded, Hypothetical):
-                            child = at.without_facts(
-                                *grounded.deletions
-                            ).with_facts(*grounded.additions)
+                            child = at.child(
+                                grounded.additions, grounded.deletions
+                            )
                             sub = best(grounded.atom, child, path)
                             if sub is not None:
                                 sub = sub | (child.facts - at.facts)
@@ -543,10 +543,10 @@ def _rule_failure(
                     if governed:
                         budget.poll("prov.whynot")
                     grounded = premise.substitute(grounding)
-                    child = db.with_facts(*grounded.additions)
+                    child = db.child(grounded.additions, grounded.deletions)
                     holds = (
                         grounded.atom in model
-                        if child == db
+                        if child is db
                         else grounded.atom in model_of(child)
                     )
                     if holds:
@@ -558,10 +558,16 @@ def _rule_failure(
                     break
             reason = "no-child-derivation"
             pattern = premise.substitute(bindings[0]) if bindings else premise
-            additions = ", ".join(str(a) for a in pattern.additions)
+            changes = "".join(
+                f"[{kind}: {', '.join(map(str, atoms))}]"
+                for kind, atoms in (
+                    ("add", pattern.additions),
+                    ("del", pattern.deletions),
+                )
+                if atoms
+            )
             detail = (
-                f"no derivation of {pattern.goal} in child db "
-                f"under [add: {additions}]"
+                f"no derivation of {pattern.goal} in child db under {changes}"
             )
         else:  # Negated: remaining variables are local ("no instance")
             for binding in bindings:

@@ -78,6 +78,17 @@ class TestExplain:
         assert proof is not None
         assert verify_proof(rb, proof)
 
+    def test_deletion_child_keeps_the_query_domain(self):
+        # The [del: e(k)] child has no fact mentioning k, but Definition
+        # 3 grounds r(X) over the query's dom(R, DB), which still
+        # holds k: both engines answer yes, and so must the proof.
+        rb = parse_program("q(Y) :- e(Y), r(Y)[del: e(Y)]. r(X) :- f.")
+        db = Database([atom("e", "k"), atom("f")])
+        proof = Explainer(rb).explain(db, "q(k)")
+        assert proof is not None
+        assert proof.steps[1].proof.db == Database([atom("f")])
+        assert verify_proof(rb, proof)
+
     def test_cycle_in_rules_explained_via_base(self):
         rb = parse_program("p :- q. q :- p. p :- base.")
         explainer = Explainer(rb)

@@ -23,6 +23,7 @@ import pytest
 
 from repro.core.database import Database
 from repro.core.errors import ResourceExhausted, StratificationError
+from repro.core.parser import parse_program
 from repro.core.terms import Atom, atom
 from repro.engine.budget import Budget
 from repro.engine.model import PerfectModelEngine
@@ -34,7 +35,6 @@ from repro.library.university import graduation_db, graduation_rulebase
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import (
     NULL_PROVENANCE,
-    ProvenanceRecorder,
     format_assumptions,
     format_why_not,
 )
@@ -155,6 +155,22 @@ class TestWhyNot:
         report = engine.why_not(graduation_db(), "nosuch(tony)")
         assert report.kind == "absent"
         assert "no rule defines" in format_why_not(report)
+
+    def test_deletion_premise_is_explained_in_its_child(self):
+        rulebase = parse_program(
+            """
+            path(X, Y) :- edge(X, Y).
+            path(X, Z) :- edge(X, Y), path(Y, Z).
+            robust(X, Y) :- path(X, Y), path(X, Y)[del: edge(X, Y)].
+            """
+        )
+        db = Database([atom("edge", "a", "b"), atom("edge", "b", "c")])
+        report = PerfectModelEngine(rulebase).why_not(db, "robust(a, b)")
+        assert report.kind == "absent"
+        (failure,) = report.failures
+        assert str(failure.premise) == "path(a, b)[del: edge(a, b)]"
+        assert failure.reason == "no-child-derivation"
+        assert "[del: edge(a, b)]" in failure.detail
 
     def test_works_without_provenance_flag(self):
         engine = PerfectModelEngine(graduation_rulebase())
@@ -349,11 +365,9 @@ class TestOverheadDiscipline:
             assert plain == recorded
 
     def test_edge_cap_drops_alternatives_not_atoms(self):
-        recorder = ProvenanceRecorder()
-        engine = PerfectModelEngine(
-            graduation_rulebase(), provenance_recorder=recorder
-        )
+        engine = PerfectModelEngine(graduation_rulebase(), provenance=True)
         engine.model(graduation_db())
+        recorder = engine.provenance
         assert recorder.n_edges.value > 0
         assert recorder.n_atoms.value > 0
 
