@@ -51,10 +51,10 @@ assumed to already hold a fixpoint of these rules over some *smaller*
 database, and ``seed_delta`` holds everything that differs (new EDB
 facts plus lower-stratum atoms the caller derived freshly).  The first
 round is then already delta-restricted — textbook incremental
-re-evaluation.  ``refire_full`` lists rules to evaluate in full on that
-first round regardless; the model engine passes its
-hypothetical-containing rules, whose recursion-case truth may shift
-between databases in ways no delta can witness.
+re-evaluation.  A :class:`Layer`'s ``refire_full`` lists rules to
+evaluate in full on that first round regardless; the model engine
+names its hypothetical-containing rules, whose recursion-case truth
+may shift between databases in ways no delta can witness.
 
 The same seeded discipline also runs *in reverse*: the deletion
 propagator (:mod:`repro.engine.dred`) uses :func:`rule_firings` with
@@ -74,7 +74,7 @@ from ..core.errors import EvaluationError
 from ..core.terms import Atom, Constant
 from ..core.unify import Substitution, ground_instances
 from ..obs.metrics import Counter, Histogram
-from ..obs.trace import NULL_SPAN, NULL_TRACER, Tracer
+from ..obs.trace import NULL_TRACER, Tracer
 from .body import (
     HypotheticalExpander,
     NegatedTest,
@@ -85,7 +85,13 @@ from .body import (
 from .budget import NULL_BUDGET
 from .interpretation import Interpretation
 
-__all__ = ["LayerInstruments", "close_layer", "delta_sources", "rule_firings"]
+__all__ = [
+    "Layer",
+    "LayerInstruments",
+    "close_layer",
+    "delta_sources",
+    "rule_firings",
+]
 
 DeltaHypotheticalExpander = Callable[
     [Hypothetical, Substitution, Interpretation], Iterator[Substitution]
@@ -211,35 +217,53 @@ def rule_firings(
             yield head
 
 
-# Per-rule closure prep (head variables, guards, delta sources), cached
-# per rules-*tuple* identity: lattice-exploring engines call close_layer
-# thousands of times with the same stratum tuples, and the prep is pure.
-# Values keep the keyed tuple alive, so an id can never be recycled
-# while its entry exists; the cache is cleared wholesale when it grows
-# past a bound no real engine reaches (strata per rulebase x engines).
-_INFO_CACHE_MAX = 512
-_info_cache: dict = {}
+class Layer:
+    """One stratum's rules with the per-rule prep :func:`close_layer`
+    reads: each rule's head variables, ground-first guards, delta
+    sources and ``always_full`` flag, and the rules a seeded closure
+    re-fires in full on its first round.
 
+    Engines build one per stratum when they are constructed (the model
+    engine per negation stratum, PROVE per Delta layer), so a closure
+    does no per-rule analysis.  ``restricted`` says whether the closing
+    engine passes a collapse-case-only ``hypothetical_delta`` expander;
+    without one there is no sound way to skip a hypothetical premise's
+    collapse case, so such rules run in full every round.
+    """
 
-def _rule_infos(rule_list, restricted: bool):
-    for item in rule_list:
-        sources = delta_sources(item)
-        has_hypo = any(isinstance(premise, Hypothetical) for premise in sources)
-        # Without a restricted expander there is no sound way to skip a
-        # hypothetical premise's collapse case, so such rules run in
-        # full every round.
-        always_full = has_hypo and not restricted
-        yield (
-            item,
-            set(item.head.variables()),
-            nonlocal_variables(item),
-            sources,
-            always_full,
-        )
+    __slots__ = ("rules", "infos", "refire_ids")
+
+    def __init__(
+        self,
+        rules: Iterable[Rule],
+        *,
+        restricted: bool,
+        refire_full: Iterable[Rule] = (),
+    ) -> None:
+        self.rules = tuple(rules)
+        infos = []
+        for item in self.rules:
+            sources = delta_sources(item)
+            has_hypo = any(
+                isinstance(premise, Hypothetical) for premise in sources
+            )
+            infos.append(
+                (
+                    item,
+                    set(item.head.variables()),
+                    nonlocal_variables(item),
+                    sources,
+                    has_hypo and not restricted,
+                )
+            )
+        self.infos = tuple(infos)
+        # ``refire_full`` names some of ``rules``, which this layer
+        # holds, so their ids stay valid.
+        self.refire_ids = frozenset(id(item) for item in refire_full)
 
 
 def close_layer(
-    rules: Iterable[Rule],
+    layer: Layer,
     interp: Interpretation,
     domain: Sequence[Constant],
     *,
@@ -249,7 +273,6 @@ def close_layer(
     hypothetical_delta: Optional[DeltaHypotheticalExpander] = None,
     strategy: str = "seminaive",
     seed_delta: Optional[Interpretation] = None,
-    refire_full: Sequence[Rule] = (),
     plan=None,
     optimize: bool = False,
     instruments: Optional[LayerInstruments] = None,
@@ -264,9 +287,11 @@ def close_layer(
     exactly the atoms this closure added.  ``positive``, ``negated`` and
     ``hypothetical`` decide the three premise kinds as in
     :func:`~repro.engine.body.satisfy_body`; ``positive`` must read
-    ``interp`` for the predicates these rules derive.  See the module
-    docstring for the delta discipline and the meaning of
-    ``seed_delta`` / ``refire_full``.
+    ``interp`` for the predicates these rules derive.  A ``layer``
+    built with ``restricted=True`` needs ``hypothetical_delta``.  See
+    the module docstring for the delta discipline and the meaning of
+    ``seed_delta``; a seeded closure re-fires ``layer``'s
+    ``refire_full`` rules in full on its first round.
 
     ``budget`` (a :class:`~repro.engine.budget.Budget`) is charged one
     step per rule firing (site ``delta.firings``) and one atom per
@@ -294,10 +319,15 @@ def close_layer(
     firings, charging budgets, tracing, and deduplicating heads, so
     the compiled and interpreted paths are counter-for-counter
     equivalent by construction.
+
+    With ``tracer`` disabled no span context is entered: ``round`` and
+    ``rule`` spans exist on the traced path only.
     """
     if strategy not in ("naive", "seminaive"):
         raise EvaluationError(f"unknown closure strategy {strategy!r}")
-    rule_list = list(rules)
+    naive = strategy == "naive"
+    if naive and seed_delta is not None:
+        raise EvaluationError("seeded closure requires strategy='seminaive'")
     n_rounds = n_firings = n_derived = h_delta = None
     if instruments is not None:
         n_rounds = instruments.rounds
@@ -305,21 +335,7 @@ def close_layer(
         n_derived = instruments.derived
         h_delta = instruments.delta_size
 
-    restricted = hypothetical_delta is not None
-    if isinstance(rules, tuple):
-        cache_key = (id(rules), restricted)
-        cached = _info_cache.get(cache_key)
-        if cached is not None and cached[0] is rules:
-            infos = cached[1]
-        else:
-            if len(_info_cache) >= _INFO_CACHE_MAX:
-                _info_cache.clear()
-            infos = list(_rule_infos(rule_list, restricted))
-            _info_cache[cache_key] = (rules, infos)
-    else:
-        infos = list(_rule_infos(rule_list, restricted))
-
-    trace = tracer
+    traced = tracer.enabled
     governed = budget.enabled
     derived_all = Interpretation()
 
@@ -352,10 +368,55 @@ def close_layer(
                 return fire(item, head_variables, guards, target, delta)
             return heads
 
-    naive = strategy == "naive"
-    if naive and seed_delta is not None:
-        raise EvaluationError("seeded closure requires strategy='seminaive'")
-    refire_ids = {id(item) for item in refire_full}
+    infos = layer.infos
+    refire_ids = layer.refire_ids
+
+    def fire_rule(info, delta, first: bool, pending: list) -> None:
+        """One rule's evaluation this round, its heads into ``pending``."""
+        item, head_variables, guards, sources, always_full = info
+        if delta is None or always_full or (first and id(item) in refire_ids):
+            for head in fire_body(item, head_variables, guards, None, None):
+                if n_firings is not None:
+                    n_firings.value += 1
+                if governed:
+                    budget.charge("delta.firings")
+                pending.append(head)
+            return
+        for target in sources:
+            if not delta.count(target.goal.predicate):
+                continue
+            for head in fire_body(item, head_variables, guards, target, delta):
+                if n_firings is not None:
+                    n_firings.value += 1
+                if governed:
+                    budget.charge("delta.firings")
+                pending.append(head)
+
+    def run_round(delta, first: bool) -> Interpretation:
+        """Fire every rule once against ``delta``; accept the new heads
+        and return them (the next round's delta)."""
+        pending: list[Atom] = []
+        if traced:
+            for info in infos:
+                item = info[0]
+                with tracer.span("rule", item.head.predicate, src=item.span):
+                    fire_rule(info, delta, first, pending)
+        else:
+            for info in infos:
+                fire_rule(info, delta, first, pending)
+        next_delta = Interpretation()
+        for head in pending:
+            if interp.add(head):
+                if kernels is not None:
+                    kernels.added(head)
+                next_delta.add(head)
+                derived_all.add(head)
+                if n_derived is not None:
+                    n_derived.value += 1
+                if governed:
+                    budget.charge_atoms("delta.derived")
+        return next_delta
+
     # A naive round has no delta: every rule evaluates in full.
     delta = seed_delta
     first = True
@@ -370,59 +431,14 @@ def close_layer(
             kernels.begin_round()
         if h_delta is not None and delta is not None:
             h_delta.observe(len(delta))
-        if trace.enabled:
+        if traced:
             args = {"strategy": strategy}
             if not naive:
                 args["delta"] = len(delta) if delta is not None else len(interp)
-            ctx = trace.span("round", str(round_index), args=args)
+            with tracer.span("round", str(round_index), args=args):
+                next_delta = run_round(delta, first)
         else:
-            ctx = NULL_SPAN
-        with ctx:
-            pending: list[Atom] = []
-            for item, head_variables, guards, sources, always_full in infos:
-                full = (
-                    delta is None
-                    or always_full
-                    or (first and id(item) in refire_ids)
-                )
-                rule_ctx = (
-                    trace.span("rule", item.head.predicate, src=item.span)
-                    if trace.enabled
-                    else NULL_SPAN
-                )
-                with rule_ctx:
-                    if full:
-                        for head in fire_body(
-                            item, head_variables, guards, None, None
-                        ):
-                            if n_firings is not None:
-                                n_firings.value += 1
-                            if governed:
-                                budget.charge("delta.firings")
-                            pending.append(head)
-                        continue
-                    for target in sources:
-                        if not delta.count(target.goal.predicate):
-                            continue
-                        for head in fire_body(
-                            item, head_variables, guards, target, delta
-                        ):
-                            if n_firings is not None:
-                                n_firings.value += 1
-                            if governed:
-                                budget.charge("delta.firings")
-                            pending.append(head)
-            next_delta = Interpretation()
-            for head in pending:
-                if interp.add(head):
-                    if kernels is not None:
-                        kernels.added(head)
-                    next_delta.add(head)
-                    derived_all.add(head)
-                    if n_derived is not None:
-                        n_derived.value += 1
-                    if governed:
-                        budget.charge_atoms("delta.derived")
+            next_delta = run_round(delta, first)
         first = False
         if not len(next_delta):
             return derived_all

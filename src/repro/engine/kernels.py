@@ -26,11 +26,12 @@ observable behavior exactly:
   behavior), while the collapse case — "additions already present,
   test the goal in the current fixpoint" — runs entirely in int
   space.  The engine memoizes recursion-case *decisions* per
-  (premise, database, grounding): truth there is fixed once the child
-  model exists, so ``model.hypothesis_expansions`` counts distinct
-  expansions on the compiled path rather than one per semi-naive
-  re-fire — that collapse of repeated work is a deliberate part of
-  the speedup, not a parity bug;
+  (premise shape up to variable renaming, database, grounding): truth
+  there is fixed once the child model exists, so
+  ``model.hypothesis_expansions`` counts distinct instances on the
+  compiled path rather than one per semi-naive re-fire or per premise
+  that spells the same instance — that collapse of repeated work is a
+  deliberate part of the speedup, not a parity bug;
 * in provenance mode the generated code reconstructs the exact binding
   dict the interpreted path would hand the ``record`` sink.
 
@@ -44,6 +45,9 @@ source string (identical rule shapes across engines share one
 (rule, premise order, delta position, record mode); encoded relations
 are cached per engine keyed by the copy-on-write frozenset object, so
 one encode pass serves every lattice child that shares the relation.
+Cost-planned join orders are memoized per engine on (rule, positive
+relation sizes, domain size); encodings and orders both keep what the
+engine's last two calls used.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from typing import Callable, Optional, Sequence
 from ..analysis.planner import (
     KernelPlan,
     KernelUnsupported,
+    cost_aware_positive_order,
     greedy_positive_order,
     kernel_plan,
     nonlocal_variables,
@@ -121,7 +126,6 @@ def generate_source(
     var_objs: dict[Variable, str] = {}
     env: dict[Variable, str] = {}
     prelude: list[str] = []
-    factory_extra: list[str] = []
     body: list[tuple[int, str]] = []
     flags = {"view": False, "dom": False, "dec": False, "neg": False,
              "prb": False, "empty": False}
@@ -328,16 +332,13 @@ def generate_source(
         flags["view"] = True
         prelude.append(f"GB{k}, GO{k} = _view({pred!r}).rowsets()")
         pvars = tuple(dict.fromkeys(step.premise.variables()))
-        factory_extra.append(
-            f"HV{k} = {_tuple_expr([var_obj(v) for v in pvars]) if pvars else '()'}"
-        )
-        prelude.append(f"HY{k} = ctx.hyp_hook(PREMS[{step.index}], HV{k})")
-        prelude.append(f"HM{k} = ctx.hyp_memo(PREMS[{step.index}])")
-        # Raw interned ids: recursion-case decisions of the model being
-        # closed are memoized per premise right here in int space — the
-        # engine call-back (which decodes, grounds, and models the
-        # enlarged database) runs once per distinct instance and stores
-        # the verdict in HM.
+        prelude.append(f"HY{k}, HM{k} = ctx.hypothesis(PREMS[{step.index}])")
+        # Raw interned ids, in ``dict.fromkeys(premise.variables())``
+        # order: recursion-case decisions of the model being closed are
+        # memoized per premise shape right here in int space — the
+        # engine call-back (which grounds the instance and decides it at
+        # the enlarged database) runs once per distinct instance and
+        # stores the verdict in HM.
         values = _tuple_expr([env[v] for v in pvars]) if pvars else "()"
         emit(depth, f"if {collapse}:")
         emit(depth + 1, f"h{k} = t{k} in GB{k} or t{k} in GO{k}")
@@ -371,7 +372,6 @@ def generate_source(
         lines.append("    " + _unpack(list(consts.values()), "CONSTS"))
     if var_objs:
         lines.append("    " + _unpack(list(var_objs.values()), "VARS"))
-    lines.extend("    " + line for line in factory_extra)
     lines.append("    def kernel(ctx):")
     lines.append("        MK = ctx.make")
     if flags["view"]:
@@ -421,13 +421,71 @@ class _RuleSpec:
         self.has_hyp = any(isinstance(p, Hypothetical) for p in item.body)
 
 
+class _Hypothesis:
+    """A compiled hypothetical premise ``A[add: B...]`` as its kernel's
+    call-back sees it.
+
+    The kernel hands over the interned ids of the premise's variables
+    in ``dict.fromkeys(premise.variables())`` order.  Each atom of the
+    premise becomes a template: its predicate and, per argument, a
+    position into ``ids + consts`` (a variable's own position, or its
+    constant's after all the variables).  ``shape`` is the templates
+    with the constants' ids — the premise up to renaming its variables,
+    constants, repeated variables, additions and deletions kept — so
+    two premises of one shape ground to the same instance from the
+    same ids and may share one decision memo.  :meth:`ground` builds
+    the instance's goal and additions as canonical atoms straight from
+    the ids.
+    """
+
+    __slots__ = ("premise", "shape", "_consts", "_goal", "_additions", "_make")
+
+    def __init__(self, premise: Hypothetical, symbols: SymbolTable) -> None:
+        self.premise = premise
+        position = {
+            var: index
+            for index, var in enumerate(dict.fromkeys(premise.variables()))
+        }
+        constants: dict[Constant, int] = {}
+
+        def template(item):
+            return item.predicate, tuple(
+                position[arg]
+                if isinstance(arg, Variable)
+                else len(position) + constants.setdefault(arg, len(constants))
+                for arg in item.args
+            )
+
+        self._goal = template(premise.atom)
+        self._additions = tuple(template(item) for item in premise.additions)
+        deletions = tuple(template(item) for item in premise.deletions)
+        self._consts = tuple(symbols.intern(item) for item in constants)
+        self.shape = (self._goal, self._additions, deletions, self._consts)
+        self._make = symbols.make_atom
+
+    def ground(self, ids: tuple[int, ...]):
+        """``(goal, additions)`` of the instance at ``ids``."""
+        ext = ids + self._consts if self._consts else ids
+        make = self._make
+        predicate, slots = self._goal
+        goal = make(predicate, tuple([ext[index] for index in slots]))
+        additions = tuple(
+            [
+                make(predicate, tuple([ext[index] for index in slots]))
+                for predicate, slots in self._additions
+            ]
+        )
+        return goal, additions
+
+
 class KernelProgram:
-    """Per-engine kernel state: symbols, encode cache, compiled kernels.
+    """Per-engine kernel state: symbols, encode cache, compiled kernels,
+    join orders.
 
     One program lives as long as its engine; its :class:`SymbolTable`
     ids are therefore stable across the whole hypothesis lattice the
-    engine explores, and its encoded-relation cache keeps what the
-    engine's last two calls used (:meth:`ColumnStore.next_generation`).
+    engine explores, and its encoded relations and memoized join orders
+    keep what the engine's last two calls used (:meth:`next_generation`).
     """
 
     def __init__(self, metrics=None) -> None:
@@ -445,17 +503,25 @@ class KernelProgram:
             self.fallbacks = Counter("kernel.fallbacks")
         self._specs: dict[int, _RuleSpec] = {}
         self._unsupported: set[int] = set()
+        # Hypothetical premises of compiled rules by id (each spec holds
+        # its rule, so the ids are not recycled).
+        self._hypotheses: dict[int, _Hypothesis] = {}
         self._kernels: dict[tuple, Optional[Callable]] = {}
         self._sources: dict[int, dict[tuple, str]] = {}
         self._domain_ids: Optional[tuple] = None
+        # Cost-planned join orders, current and previous generation:
+        # (rule id, positive premises' relation sizes, domain size) ->
+        # (premise order, body positions).
+        self._plans: dict[tuple, tuple] = {}
+        self._plans_previous: dict[tuple, tuple] = {}
 
     def domain_ids(self, domain) -> list[int]:
         """Interned ids for a domain sequence, cached by identity.
 
         One evaluation passes the same domain list down through every
-        stratum closure of every lattice child, so a single-slot
-        identity cache removes re-interning from the per-closure setup
-        (the slot keeps the list alive, so the id cannot be recycled).
+        lattice child, so a single-slot identity cache removes
+        re-interning from the per-model setup (the slot keeps the list
+        alive, so the id cannot be recycled).
         """
         cached = self._domain_ids
         if cached is not None and cached[0] is domain:
@@ -476,7 +542,60 @@ class KernelProgram:
                 self._unsupported.add(key)
                 return None
             found = self._specs[key] = _RuleSpec(item)
+            for premise in item.body:
+                if isinstance(premise, Hypothetical):
+                    self._hypotheses[id(premise)] = _Hypothesis(
+                        premise, self.symbols
+                    )
         return found
+
+    def hypothesis(self, premise: Hypothetical) -> _Hypothesis:
+        """The call-back template of a compiled rule's premise."""
+        return self._hypotheses[id(premise)]
+
+    def cost_order(self, spec: _RuleSpec, count, domain_size: int) -> tuple:
+        """The cost-aware join order of a rule's body at the relation
+        sizes ``count`` reports, as ``(premises, body positions)``.
+
+        The planner reads nothing but the sizes of the positive
+        premises' relations and the domain size, so the order is
+        memoized on those and the rule's identity: lattice children
+        with equal sizes share one plan.  Positions are by identity
+        (kernels map plan entries back to the body by ``id``), which is
+        why the key is the rule and not a value-equal premise list.
+        """
+        sizes = tuple(
+            [count(premise.atom.predicate) for premise in spec.positives]
+        )
+        key = (spec.key, sizes, domain_size)
+        found = self._plans.get(key)
+        if found is None:
+            found = self._plans_previous.pop(key, None)
+            if found is None:
+                ordered = (
+                    cost_aware_positive_order(
+                        spec.positives, (), count, domain_size
+                    )
+                    + spec.rest
+                )
+                index_of = spec.index_of
+                found = (ordered, tuple(index_of[id(p)] for p in ordered))
+            self._plans[key] = found
+        return found
+
+    @property
+    def cached_plans(self) -> int:
+        """Join orders held: what the last two generations planned."""
+        return len(self._plans) + len(self._plans_previous)
+
+    def next_generation(self) -> None:
+        """Drop the previous generation of encoded relations and join
+        orders and make the current one previous; each is left as it
+        is by a call that did not touch it."""
+        self.store.next_generation()
+        if self._plans:
+            self._plans_previous = self._plans
+            self._plans = {}
 
     def kernel(
         self,
@@ -529,21 +648,28 @@ class KernelProgram:
         return self._sources[spec.key].get((spec.key, order_key, -1, record))
 
     def run(self, **kwargs) -> "KernelRun":
-        """A per-closure execution context; see :class:`KernelRun`."""
+        """A per-model execution context; see :class:`KernelRun`."""
         return KernelRun(self, **kwargs)
 
 
 class KernelRun:
-    """One closure's kernel execution context (the generated code's ``ctx``).
+    """One model's kernel execution context (the generated code's ``ctx``).
 
-    Built by an engine right before each :func:`repro.engine.delta.
-    close_layer` call; carries the live interpretation/database/domain,
-    the engine's planner and counters, and per-closure caches of
-    :class:`RelationView` objects.  The semi-naive driver calls
-    :meth:`begin_round` at round headers, :meth:`fire` in place of its
-    interpreted body enumeration (None return means "interpret this
-    one"), and :meth:`added` for every head accepted into the
-    interpretation so live views stay current.
+    Built by an engine once per model it computes and shared by every
+    :func:`repro.engine.delta.close_layer` call that closes one of the
+    model's strata; carries the live interpretation/database/domain,
+    the engine's planning mode and counters, and per-model caches of
+    :class:`RelationView` objects, join orders, resolved kernels,
+    hypothesis hooks and recursion-case decisions.  The closure loop
+    calls :meth:`begin_round` at round headers, :meth:`fire` in
+    place of its interpreted body enumeration (None return means
+    "interpret this one"), and :meth:`added` for every head accepted
+    into the interpretation so live views stay current across rounds
+    and strata.  Sharing is sound because a stratum's rules read only
+    its own and lower strata's predicates and a stratum closes once per
+    model: a view is made after everything that fills its relation
+    without :meth:`added` (seeding, DRed), and a rule's join order is
+    planned at its own stratum's sizes.
     """
 
     __slots__ = (
@@ -551,13 +677,12 @@ class KernelRun:
         "interp",
         "db",
         "domain",
-        "plan",
+        "cost",
         "optimize",
         "record",
         "neg",
         "probes",
         "hyp_call",
-        "_hyp_memo",
         "domain_ids",
         "decode",
         "make",
@@ -567,6 +692,8 @@ class KernelRun:
         "_db_rowsets",
         "_orders",
         "_kerns",
+        "_decisions",
+        "_hooks",
     )
 
     def __init__(
@@ -576,25 +703,23 @@ class KernelRun:
         interp,
         db=None,
         domain=(),
-        plan=None,
+        cost: bool = False,
         optimize: bool = False,
         record=None,
         negation: Optional[Counter] = None,
         probes: Optional[Counter] = None,
         hyp_call=None,
-        hyp_memo=None,
     ) -> None:
         self.program = program
         self.interp = interp
         self.db = db
         self.domain = domain
-        self.plan = plan
+        self.cost = cost
         self.optimize = optimize
         self.record = record
         self.neg = negation if negation is not None else Counter("kernel.negation")
         self.probes = probes if probes is not None else Counter("kernel.probes")
         self.hyp_call = hyp_call
-        self._hyp_memo = hyp_memo
         symbols = program.symbols
         self.domain_ids = program.domain_ids(domain)
         self.decode = symbols.constants
@@ -603,12 +728,16 @@ class KernelRun:
         self._delta = None
         self._delta_views: dict[str, RelationView] = {}
         self._db_rowsets: dict[str, frozenset] = {}
-        # Per-closure memos: join order (planned once per rule against
-        # this closure's relation sizes; order never changes the head
+        # Per-model memos: join order (planned once per rule, at its
+        # stratum's relation sizes; order never changes the head
         # multiset, only enumeration cost) and resolved kernels per
         # (rule, delta target).
         self._orders: dict[int, tuple] = {}
         self._kerns: dict[tuple, Optional[Callable]] = {}
+        # Recursion-case decisions by premise shape; (hook, memo) by
+        # premise id.
+        self._decisions: dict[tuple, dict] = {}
+        self._hooks: dict[int, tuple[Callable, dict]] = {}
 
     # -- driver hooks ---------------------------------------------------
 
@@ -630,20 +759,20 @@ class KernelRun:
         if kern is _MISSING:
             order = self._orders.get(spec.key)
             if order is None:
-                plan = self.plan
-                if plan is not None:
-                    ordered = list(plan(spec.positives, ())) + spec.rest
-                elif self.optimize:
-                    ordered = (
-                        list(greedy_positive_order(spec.positives, ()))
-                        + spec.rest
+                if self.cost:
+                    order = program.cost_order(
+                        spec, self.interp.count, len(self.domain)
                     )
                 else:
-                    ordered = spec.default_order
-                order = self._orders[spec.key] = (
-                    ordered,
-                    tuple(index_of[id(p)] for p in ordered),
-                )
+                    if self.optimize:
+                        ordered = (
+                            list(greedy_positive_order(spec.positives, ()))
+                            + spec.rest
+                        )
+                    else:
+                        ordered = spec.default_order
+                    order = (ordered, tuple(index_of[id(p)] for p in ordered))
+                self._orders[spec.key] = order
             ordered, order_key = order
             kern = program.kernel(
                 spec, ordered, order_key, target_key, self.record is not None
@@ -712,30 +841,29 @@ class KernelRun:
             )
         return found
 
-    def hyp_memo(self, premise) -> dict:
-        """The premise's decision memo for the model being closed, read
-        inline by kernels.
+    def hypothesis(self, premise) -> tuple[Callable, dict]:
+        """``(hook, memo)`` deciding a premise's recursion-case
+        instances for the model being closed, read inline by kernels.
 
-        Generated code probes this dict in int space before paying for
-        the engine call-back; the call-back stores each recursion-case
-        verdict back into the same dict.  Engines that pass no
-        ``hyp_memo`` factory get a throwaway dict (correct, never hit).
+        Generated code probes ``memo`` with a tuple of *interned ids*
+        in int space and calls ``hook`` only on a miss; the engine's
+        ``hyp_call`` receives the premise's :class:`_Hypothesis`
+        template, the ids and the memo, grounds the instance, decides
+        it at the enlarged database, and stores the verdict in the
+        memo.  Premises of one shape share one memo: their instances
+        at equal ids are one instance.
         """
-        fn = self._hyp_memo
-        return fn(premise) if fn is not None else {}
+        key = id(premise)
+        found = self._hooks.get(key)
+        if found is None:
+            template = self.program.hypothesis(premise)
+            memo = self._decisions.get(template.shape)
+            if memo is None:
+                memo = self._decisions[template.shape] = {}
+            call = self.hyp_call
 
-    def hyp_hook(self, premise, pvars):
-        """A per-premise closure deciding recursion-case instances.
+            def hook(ids, _call=call, _template=template, _memo=memo):
+                return _call(_template, ids, _memo)
 
-        Generated code calls the hook with a tuple of *interned ids*
-        only on a :meth:`hyp_memo` miss; the engine-side callback
-        decodes them to Constants, grounds the premise, evaluates the
-        enlarged database, and memoizes the verdict.
-        """
-        call = self.hyp_call
-        decode = self.decode
-
-        def hook(ids, _call=call, _premise=premise, _pvars=pvars, _dec=decode):
-            return _call(_premise, _pvars, ids, _dec)
-
-        return hook
+            found = self._hooks[key] = (hook, memo)
+        return found

@@ -130,11 +130,11 @@ from ..obs.provenance import (
     WhyNotReport,
     explain_absence,
 )
-from ..obs.trace import NULL_SPAN, NULL_TRACER, Tracer
+from ..obs.trace import NULL_TRACER, Tracer
 from ..testing import failpoints as _failpoints
 from .body import cost_aware_positive_order, join_mode
 from .budget import NULL_BUDGET, cancelled_error, depth_error
-from .delta import LayerInstruments, close_layer
+from .delta import Layer, LayerInstruments, close_layer
 from .domain import Domain
 from .dred import (
     DredInstruments,
@@ -219,13 +219,15 @@ class PerfectModelEngine:
         the same head multiset (``model.rule_firings``) and visit the
         same negation tests (``model.negation_tests``) firing for
         firing, while recursion-case hypothetical decisions are
-        memoized per (premise, grounding) while a model is closed — so
-        ``model.hypothesis_expansions`` counts *distinct* expansions
-        when compiled instead of one per semi-naive re-fire.  Any rule
-        outside the compilable fragment falls back to interpretation
-        per firing (``kernel.fallbacks``).  A cross-check fallback to
-        ``strategy="naive"`` also switches compilation off: after a
-        failed self-check the engine runs the most trusted path only.
+        memoized per (premise shape up to variable renaming, grounding)
+        while a model is closed — so ``model.hypothesis_expansions``
+        counts *distinct* instances when compiled instead of one per
+        semi-naive re-fire or per premise spelling the same instance.
+        Any rule outside the compilable fragment falls back to
+        interpretation per firing (``kernel.fallbacks``).  A
+        cross-check fallback to ``strategy="naive"`` also switches
+        compilation off: after a failed self-check the engine runs the
+        most trusted path only.
     reuse_models:
         Seed child fixpoints of the database lattice from the parent
         evaluation's monotone stratum prefix (see module docstring).
@@ -318,14 +320,19 @@ class PerfectModelEngine:
             for index, layer in enumerate(layers)
             for predicate in layer
         }
-        # Hypothetical-carrying rules per stratum: re-fired in full on
-        # the first round of a seeded closure (recursion-case truth is
-        # database-dependent; no delta witnesses the shift).
-        self._refire_rules: list[tuple[Rule, ...]] = [
-            tuple(
-                item
-                for item in rules
-                if any(isinstance(p, Hypothetical) for p in item.body)
+        # Each stratum's closure prep.  Hypothetical-carrying rules are
+        # re-fired in full on the first round of a seeded closure
+        # (recursion-case truth is database-dependent; no delta
+        # witnesses the shift).
+        self._layers: list[Layer] = [
+            Layer(
+                rules,
+                restricted=True,
+                refire_full=[
+                    item
+                    for item in rules
+                    if any(isinstance(p, Hypothetical) for p in item.body)
+                ],
             )
             for rules in self._layer_rules
         ]
@@ -396,11 +403,11 @@ class PerfectModelEngine:
             # the child database, which would leave replay holes.
             self._reuse = False
         self._cross_check = bool(cross_check)
-        # One ``[interpretation, strata-closed-so-far, hypothesis
-        # decisions]`` frame per model currently being computed,
-        # outermost first (decisions: see _close_layer); the outermost
-        # is harvested for the partial result when evaluation is cut
-        # short (frames are popped on success only).
+        # One ``[interpretation, strata-closed-so-far]`` frame per model
+        # currently being computed, outermost first; the outermost is
+        # harvested for the partial result when evaluation is cut short
+        # (frames are popped on success only).  While a stratum closes,
+        # the count is its index.
         self._inflight: list[list] = []
         # The same frames by database.  Add-only recursion grows the
         # database strictly, so it cannot revisit one; deletions make
@@ -447,8 +454,13 @@ class PerfectModelEngine:
             rederive_checks=counter("dred.rederive_checks"),
         )
         self._h_model_size = self.metrics.histogram("model.model_size")
-        self._h_delta_size = self.metrics.histogram("model.delta_size")
         self._h_atoms_seeded = self.metrics.histogram("model.atoms_seeded")
+        self._layer_instruments = LayerInstruments(
+            rounds=self._n_rounds,
+            firings=self._n_firings,
+            derived=self._n_derived,
+            delta_size=self.metrics.histogram("model.delta_size"),
+        )
 
     @property
     def rulebase(self) -> Rulebase:
@@ -933,10 +945,11 @@ class PerfectModelEngine:
 
     def _next_generation(self) -> None:
         """Drop the previous generation and make the current one
-        previous, in the model cache and in the kernels' encodings;
-        each is left as it is by a call that did not touch it."""
+        previous, in the model cache and in the kernels' encodings and
+        join orders; each is left as it is by a call that did not touch
+        it."""
         if self._kernel_program is not None:
-            self._kernel_program.store.next_generation()
+            self._kernel_program.next_generation()
         if self._cache:
             self._n_evictions.value += len(self._previous)
             self._previous = self._cache
@@ -1013,7 +1026,7 @@ class PerfectModelEngine:
 
     def _note_exhaustion(self, error: ResourceExhausted) -> None:
         if self._inflight:
-            interp, closed, _ = self._inflight[0]
+            interp, closed = self._inflight[0]
             aux = self._aux
             atoms = frozenset(
                 atom for atom in interp if atom.predicate not in aux
@@ -1108,12 +1121,12 @@ class PerfectModelEngine:
                 grounded = premise.substitute(binding)
                 db2 = db.child(grounded.additions, grounded.deletions)
                 self._n_hypo.value += 1
-                ctx = (
-                    trace.span("hypothesis", str(grounded), src=premise.span)
-                    if trace.enabled
-                    else NULL_SPAN
-                )
-                with ctx:
+                if trace.enabled:
+                    with trace.span(
+                        "hypothesis", str(grounded), src=premise.span
+                    ):
+                        model = self._model(db2, domain)
+                else:
                     model = self._model(db2, domain)
                 if grounded.atom in model:
                     return True
@@ -1167,6 +1180,22 @@ class PerfectModelEngine:
             last_model, len(self._layer_rules), removed, added
         )
 
+    def _lookup(
+        self, db: Database, domain: Sequence[Constant]
+    ) -> Optional[dict[str, set]]:
+        """The cached derived layer of the model at ``db`` grounded over
+        ``domain``, or ``None``; an entry found in the previous
+        generation is promoted to the current one."""
+        entry = self._cache.get(db)
+        if entry is None:
+            entry = self._previous.pop(db, None)
+            if entry is None:
+                return None
+            self._cache[db] = entry
+        if entry[0] is domain or entry[0] == domain:
+            return entry[1]
+        return None
+
     def _model(
         self,
         db: Database,
@@ -1174,14 +1203,25 @@ class PerfectModelEngine:
         parent: Optional[_SeedSource] = None,
         dred: Optional[DredSource] = None,
     ) -> Interpretation:
-        entry = self._cache.get(db)
-        if entry is None:
-            entry = self._previous.pop(db, None)
-            if entry is not None:
-                self._cache[db] = entry
-        if entry is not None and (entry[0] is domain or entry[0] == domain):
+        """The model at ``db``: a fresh view (no position maps, no probe
+        counter) over its cached or newly computed derived layer."""
+        overlay = self._lookup(db, domain)
+        if overlay is not None:
             self._n_cache_hits.value += 1
-            return Interpretation(db, entry[1])
+            return Interpretation(db, overlay)
+        return Interpretation(
+            db, self._compute(db, domain, parent, dred).overlay()
+        )
+
+    def _compute(
+        self,
+        db: Database,
+        domain: Sequence[Constant],
+        parent: Optional[_SeedSource] = None,
+        dred: Optional[DredSource] = None,
+    ) -> Interpretation:
+        """Compute (and cache) the model at ``db`` on a cache miss;
+        returns the interpretation that closed it."""
         if self._has_deletions and db in self._inflight_dbs:
             # Backstop only: goal-aware recursion resolves benign
             # cycles in _hyp_recurse before reaching here.
@@ -1205,88 +1245,91 @@ class PerfectModelEngine:
         budget = self._budget
         if budget.enabled:
             budget.charge("model.models_computed")
-        trace = self._tracer
-        ctx = (
-            trace.span("model", f"db[{len(db)}]")
-            if trace.enabled
-            else NULL_SPAN
-        )
         top = not self._inflight
+        interp = Interpretation(db)
+        interp.probes = self._n_probes
+        frame = [interp, 0]
+        self._inflight.append(frame)
+        if self._has_deletions:
+            self._inflight_dbs[db] = frame
+        trace = self._tracer
+        if trace.enabled:
+            with trace.span("model", f"db[{len(db)}]"):
+                self._fill(frame, db, domain, parent, dred)
+        else:
+            self._fill(frame, db, domain, parent, dred)
+        self._inflight.pop()
+        if self._has_deletions:
+            self._inflight_dbs.pop(db, None)
+        self._h_model_size.observe(len(interp))
+        if self._memoize:
+            self._cache[db] = (domain, interp.overlay())
+            for predicate in self._aux:
+                self._n_magic.value += interp.count(predicate)
+        if top and (self._cross_check or _failpoints.enabled):
+            self._verify_model(db, Interpretation(db, interp.overlay()))
+        return interp
+
+    def _fill(
+        self,
+        frame: list,
+        db: Database,
+        domain: Sequence[Constant],
+        parent: Optional[_SeedSource],
+        dred: Optional[DredSource],
+    ) -> None:
+        """Close every stratum of the in-flight ``frame``: fresh, seeded
+        from ``parent``, or patched from ``dred``.  Strata without
+        rules hold EDB facts only, already in the interpretation's base:
+        they are not closed, but still count as closed in the frame."""
+        interp = frame[0]
         record = (
             self._provenance.sink(db, aux=self._aux)
             if self._provenance.enabled
             else None
         )
-        with ctx:
-            interp = Interpretation(db)
-            interp.probes = self._n_probes
-            frame = [interp, 0, {}]
-            self._inflight.append(frame)
-            if self._has_deletions:
-                self._inflight_dbs[db] = frame
-            if self._reuse and parent is None and dred is None:
-                parent, dred = self._lineage(db, domain)
-            if parent is None and dred is not None and record is None:
-                self._dred_fill(db, domain, frame, dred)
-            else:
-                seed_limit = 0
-                # ``fresh`` is the running delta for seeded strata: the
-                # new EDB facts plus atoms lower seeded strata derive
-                # beyond the parent's state.
-                fresh = Interpretation()
-                if parent is not None:
-                    seed_limit = min(parent.closed_layers, self._seed_prefix)
-                    seeded_atoms = 0
-                    for k in range(seed_limit):
-                        if not self._layer_rules[k]:
-                            continue  # EDB only: already in interp's base
-                        for predicate in self._layer_predicates[k]:
-                            seeded_atoms += interp.add_rows(
-                                predicate, parent.relation(predicate)
-                            )
-                    for item in parent.additions:
-                        fresh.add(item)
-                    self._n_seeded.value += 1
-                    self._h_atoms_seeded.observe(seeded_atoms)
-                else:
-                    self._n_fresh.value += 1
-                for index, rules in enumerate(self._layer_rules):
-                    stratum_ctx = (
-                        trace.span(
-                            "stratum", str(index), args={"rules": len(rules)}
-                        )
-                        if trace.enabled
-                        else NULL_SPAN
+        if self._reuse and parent is None and dred is None:
+            parent, dred = self._lineage(db, domain)
+        close = self._closer(frame, db, domain, record)
+        if parent is None and dred is not None and record is None:
+            self._dred_fill(db, domain, frame, dred, close)
+            return
+        seed_limit = 0
+        # ``fresh`` is the running delta for seeded strata: the new EDB
+        # facts plus atoms lower seeded strata derive beyond the
+        # parent's state.
+        fresh = None
+        if parent is not None:
+            seed_limit = min(parent.closed_layers, self._seed_prefix)
+            seeded_atoms = 0
+            for k in range(seed_limit):
+                if not self._layer_rules[k]:
+                    continue  # EDB only: already in interp's base
+                for predicate in self._layer_predicates[k]:
+                    seeded_atoms += interp.add_rows(
+                        predicate, parent.relation(predicate)
                     )
-                    with stratum_ctx:
-                        seeded = index < seed_limit
-                        new = self._close_layer(
-                            rules,
-                            interp,
-                            db,
-                            domain,
-                            index,
-                            seed_delta=fresh if seeded else None,
-                            refire=self._refire_rules[index] if seeded else (),
-                            record=record,
-                        )
-                        if index + 1 < seed_limit:
-                            fresh.update(new)
-                    frame[1] = index + 1
-        self._inflight.pop()
-        if self._has_deletions:
-            self._inflight_dbs.pop(db, None)
-        self._h_model_size.observe(len(interp))
-        overlay = interp.overlay()
-        if self._memoize:
-            self._cache[db] = (domain, overlay)
-            for predicate in self._aux:
-                self._n_magic.value += interp.count(predicate)
-        # Callers get a fresh view: no position maps, no probe counter.
-        result = Interpretation(db, overlay)
-        if top and (self._cross_check or _failpoints.enabled):
-            self._verify_model(db, result)
-        return result
+            fresh = Interpretation()
+            for item in parent.additions:
+                fresh.add(item)
+            self._n_seeded.value += 1
+            self._h_atoms_seeded.observe(seeded_atoms)
+        else:
+            self._n_fresh.value += 1
+        trace = self._tracer
+        for index, rules in enumerate(self._layer_rules):
+            if rules:
+                seed = fresh if index < seed_limit else None
+                if trace.enabled:
+                    with trace.span(
+                        "stratum", str(index), args={"rules": len(rules)}
+                    ):
+                        new = close(index, seed)
+                else:
+                    new = close(index, seed)
+                if index + 1 < seed_limit:
+                    fresh.update(new)
+            frame[1] = index + 1
 
     def _dred_fill(
         self,
@@ -1294,10 +1337,12 @@ class PerfectModelEngine:
         domain: Sequence[Constant],
         frame: list,
         source: DredSource,
+        close: Callable[..., Interpretation],
     ) -> None:
         """Fill the in-flight ``frame`` with the model at ``db`` by
         patching the pre-change state in ``source`` (delete-and-rederive)
-        instead of running the fixpoint from scratch.
+        instead of running the fixpoint from scratch; ``close`` closes
+        one stratum of the frame (see _closer).
 
         Strata the source has closed are skipped (no relevant change),
         DRed-patched (purely positive), or re-closed and diffed
@@ -1309,7 +1354,7 @@ class PerfectModelEngine:
         changes propagate upward.  The old model is read in place.
         Strata without rules hold EDB facts only, which the new
         interpretation already has in its base and the EDB diff already
-        describes, so nothing is copied or diffed for them.
+        describes, so nothing is copied, closed or diffed for them.
         """
         interp = frame[0]
         old = source.old
@@ -1333,96 +1378,88 @@ class PerfectModelEngine:
                 },
             )
         fresh_from = min(source.closed_layers, len(self._layer_rules))
-        for index, rules in enumerate(self._layer_rules):
+
+        def patch(index: int, rules: tuple[Rule, ...]) -> None:
             predicates = self._layer_predicates[index]
-            stratum_ctx = (
-                trace.span("stratum", str(index), args={"rules": len(rules)})
-                if trace.enabled
-                else NULL_SPAN
+            if index >= fresh_from:
+                # The source never closed this stratum; nothing to
+                # patch against.  (Only live parents end here — a
+                # cached model has every stratum closed.)
+                if rules:
+                    close(index)
+                self._n_strata_recomputed.value += 1
+                return
+            reads = self._dred_reads[index]
+            touched = reads is None or any(
+                removed_acc.get(predicate) or added_acc.get(predicate)
+                for predicate in (reads | predicates)
             )
-            with stratum_ctx:
-                if index >= fresh_from:
-                    # The source never closed this stratum; nothing to
-                    # patch against.  (Only live parents end here — a
-                    # cached model has every stratum closed.)
-                    self._close_layer(rules, interp, db, domain, index)
-                    self._n_strata_recomputed.value += 1
-                    diff = False
-                else:
-                    reads = self._dred_reads[index]
-                    touched = reads is None or any(
-                        removed_acc.get(predicate) or added_acc.get(predicate)
-                        for predicate in (reads | predicates)
-                    )
-                    if not touched:
-                        if rules:
-                            for predicate in predicates:
-                                interp.add_rows(
-                                    predicate, old.relation_rows(predicate)
-                                )
-                        self._n_strata_skipped.value += 1
-                        diff = False
-                    elif not rules:
-                        seed = Interpretation()
-                        for predicate in predicates:
-                            seed.update(added_acc.get(predicate, ()))
-                        self._close_layer(
-                            rules, interp, db, domain, index, seed_delta=seed
-                        )
-                        self._n_strata_incremental.value += 1
-                        diff = False
-                    elif self._dred_incremental[index]:
-                        deleted, seed = patch_stratum(
-                            rules,
-                            predicates,
-                            old,
-                            interp,
-                            db,
-                            domain,
-                            removed_acc,
-                            added_acc,
-                            optimize=self._join_mode == "greedy",
-                            instruments=self._dred_instruments,
-                            budget=self._budget,
-                        )
-                        self._close_layer(
-                            rules, interp, db, domain, index, seed_delta=seed
-                        )
-                        self._n_strata_incremental.value += 1
-                        diff = True
-                    else:
-                        # Negation or hypotheses: anti-monotone under
-                        # the change — re-close in full over the
-                        # patched lower strata, then diff to keep
-                        # propagating.
-                        self._close_layer(rules, interp, db, domain, index)
-                        self._n_strata_recomputed.value += 1
-                        diff = True
-                if diff:
+            if not touched:
+                if rules:
                     for predicate in predicates:
-                        old_rows = old.relation(predicate)
-                        new_rows = interp.relation(predicate)
-                        removed_acc[predicate] = {
-                            Atom(predicate, args)
-                            for args in old_rows - new_rows
-                        }
-                        added_acc[predicate] = {
-                            Atom(predicate, args)
-                            for args in new_rows - old_rows
-                        }
+                        interp.add_rows(
+                            predicate, old.relation_rows(predicate)
+                        )
+                self._n_strata_skipped.value += 1
+                return
+            if not rules:
+                self._n_strata_incremental.value += 1
+                return
+            if self._dred_incremental[index]:
+                deleted, seed = patch_stratum(
+                    rules,
+                    predicates,
+                    old,
+                    interp,
+                    db,
+                    domain,
+                    removed_acc,
+                    added_acc,
+                    optimize=self._join_mode == "greedy",
+                    instruments=self._dred_instruments,
+                    budget=self._budget,
+                )
+                close(index, seed)
+                self._n_strata_incremental.value += 1
+            else:
+                # Negation or hypotheses: anti-monotone under the
+                # change — re-close in full over the patched lower
+                # strata, then diff to keep propagating.
+                close(index)
+                self._n_strata_recomputed.value += 1
+            for predicate in predicates:
+                old_rows = old.relation(predicate)
+                new_rows = interp.relation(predicate)
+                removed_acc[predicate] = {
+                    Atom(predicate, args) for args in old_rows - new_rows
+                }
+                added_acc[predicate] = {
+                    Atom(predicate, args) for args in new_rows - old_rows
+                }
+
+        for index, rules in enumerate(self._layer_rules):
+            if trace.enabled:
+                with trace.span(
+                    "stratum", str(index), args={"rules": len(rules)}
+                ):
+                    patch(index, rules)
+            else:
+                patch(index, rules)
             frame[1] = index + 1
 
-    def _close_layer(
+    def _closer(
         self,
-        rules: tuple[Rule, ...],
-        interp: Interpretation,
+        frame: list,
         db: Database,
         domain: Sequence[Constant],
-        layer_index: int,
-        seed_delta: Optional[Interpretation] = None,
-        refire: Sequence[Rule] = (),
-        record=None,
-    ) -> Interpretation:
+        record,
+    ) -> Callable[..., Interpretation]:
+        """One model's closure context: the premise callbacks, planner
+        and kernel run that every stratum of the model shares, built
+        once per model.  Returns ``close(index, seed_delta=None)``,
+        which closes stratum ``index`` over the frame's interpretation
+        and returns the atoms it added."""
+        interp = frame[0]
         plan = None
         if self._join_mode == "cost":
             domain_size = len(domain)
@@ -1438,11 +1475,13 @@ class PerfectModelEngine:
             n_negation.value += 1
             return not interp.has_match(pattern, current)
 
+        # While a stratum closes, frame[1] is its index: the strata
+        # below it are closed, hence quiescent, at this database.
         def hypothetical(
             premise: Hypothetical, current: Substitution
         ) -> Iterator[Substitution]:
             return self._expand_hypothetical(
-                premise, current, db, interp, domain, layer_index
+                premise, current, db, interp, domain, frame[1]
             )
 
         def hypothetical_delta(
@@ -1454,85 +1493,78 @@ class PerfectModelEngine:
 
         kernels = None
         if self._kernel_program is not None:
-            # Recursion-case decisions live in the frame of the model
-            # being closed (the innermost in flight): kernels read them
-            # only while that closure runs, and nobody once the model
-            # is cached.
-            decisions = self._inflight[-1][2]
 
-            def hyp_memo(premise) -> dict:
-                # One decision dict per premise of the rulebase, which
-                # outlives the frame, so the id is not recycled;
-                # generated code probes it inline in int space, so memo
-                # hits pay no Python call at all.
-                found = decisions.get(id(premise))
-                if found is None:
-                    found = decisions[id(premise)] = {}
-                return found
-
-            def hyp_call(premise, pvars, ids, decode) -> bool:
+            def hyp_call(hypothesis, ids, memo) -> bool:
                 # The compiled recursion-case guard, reached only on a
-                # hyp_memo miss: generated code has already decided the
+                # memo miss: generated code has already decided the
                 # collapse test in int space and hands over only
                 # instances that enlarge the database.  Recursion-case
                 # truth is fixed per (instance, db) — the child model
-                # is final — so the verdict is stored back
-                # into the kernel-visible memo instead of re-deriving
-                # the child database on every semi-naive re-fire.
-                grounding = {
-                    var: decode[ident] for var, ident in zip(pvars, ids)
-                }
-                grounded = premise.substitute(grounding)
-                db2 = db.child(grounded.additions, grounded.deletions)
+                # is final — so the verdict is stored back into the
+                # kernel-visible memo of the model being closed, which
+                # lives as long as this closure context.
+                goal, additions = hypothesis.ground(ids)
+                db2 = db.with_facts(*additions)
                 if db2 is db:
                     # Collapse case: decided inline by the kernel; kept
                     # as an unmemoized guard (depends on the
                     # still-growing interpretation).
-                    return grounded.atom in interp
-                found = self._hyp_recurse(
-                    grounded, db2, db, interp, domain, layer_index,
-                    premise.span,
+                    return goal in interp
+                found = memo[ids] = self._hyp_recurse(
+                    goal,
+                    additions,
+                    (),
+                    db2,
+                    db,
+                    interp,
+                    domain,
+                    frame[1],
+                    hypothesis.premise.span,
                 )
-                hyp_memo(premise)[ids] = found
                 return found
 
             kernels = self._kernel_program.run(
                 interp=interp,
                 db=db,
                 domain=domain,
-                plan=plan,
+                cost=self._join_mode == "cost",
                 optimize=self._join_mode == "greedy",
                 record=record,
                 negation=self._n_negation,
                 probes=self._n_probes,
                 hyp_call=hyp_call,
-                hyp_memo=hyp_memo,
             )
 
-        return close_layer(
-            rules,
-            interp,
-            domain,
-            positive=interp.matches,
-            hypothetical=hypothetical,
-            hypothetical_delta=hypothetical_delta,
-            negated=negated,
-            strategy=self._strategy,
-            seed_delta=seed_delta,
-            refire_full=refire,
-            plan=plan,
-            optimize=self._join_mode == "greedy",
-            instruments=LayerInstruments(
-                rounds=self._n_rounds,
-                firings=self._n_firings,
-                derived=self._n_derived,
-                delta_size=self._h_delta_size,
-            ),
-            tracer=self._tracer,
-            budget=self._budget,
-            record=record,
-            kernels=kernels,
-        )
+        layers = self._layers
+        strategy = self._strategy
+        optimize = self._join_mode == "greedy"
+        instruments = self._layer_instruments
+        tracer = self._tracer
+        budget = self._budget
+
+        def close(
+            index: int, seed_delta: Optional[Interpretation] = None
+        ) -> Interpretation:
+            return close_layer(
+                layers[index],
+                interp,
+                domain,
+                positive=interp.matches,
+                hypothetical=hypothetical,
+                hypothetical_delta=hypothetical_delta,
+                negated=negated,
+                strategy=strategy,
+                seed_delta=seed_delta,
+                plan=plan,
+                optimize=optimize,
+                instruments=instruments,
+                tracer=tracer,
+                budget=budget,
+                record=record,
+                kernels=kernels,
+            )
+
+        return close
 
     def _expand_hypothetical(
         self,
@@ -1562,13 +1594,23 @@ class PerfectModelEngine:
                 if grounded.atom in interp:
                     yield grounding
             elif self._hyp_recurse(
-                grounded, db2, db, interp, domain, layer_index, premise.span
+                grounded.atom,
+                grounded.additions,
+                grounded.deletions,
+                db2,
+                db,
+                interp,
+                domain,
+                layer_index,
+                premise.span,
             ):
                 yield grounding
 
     def _hyp_recurse(
         self,
-        grounded: Hypothetical,
+        goal: Atom,
+        additions: tuple[Atom, ...],
+        deletions: tuple[Atom, ...],
         db2: Database,
         db: Database,
         interp: Interpretation,
@@ -1576,7 +1618,8 @@ class PerfectModelEngine:
         layer_index: int,
         span=None,
     ) -> bool:
-        """Decide one recursion-case instance ``A[add: B...]`` at ``db``.
+        """Decide one recursion-case instance ``goal[add: additions]
+        [del: deletions]`` at ``db``, which moves to ``db2``.
 
         Shared by the interpreted expansion above and the compiled
         kernels' guarded call-back (:mod:`repro.engine.kernels`), so
@@ -1588,31 +1631,62 @@ class PerfectModelEngine:
             state = self._inflight_dbs.get(db2)
             if state is not None:
                 self._n_hypo.value += 1
-                return self._inflight_goal(grounded.atom, state)
-        added = grounded.additions
+                return self._inflight_goal(goal, state)
+        added = additions
         if self._demand_seeds:
             # Demand delegate: static magic propagation cannot survive
             # a non-monotone prefix flipping off in the child
             # (docs/DEMAND.md), so the demand for the hypothetically-
             # tested goal is injected as a ground magic fact of the
             # enlarged database.
-            seed = self._demand_seeds.get(grounded.atom.predicate)
+            seed = self._demand_seeds.get(goal.predicate)
             if seed is not None:
-                magic_fact = Atom(seed, grounded.atom.args)
+                magic_fact = Atom(seed, goal.args)
                 db2 = db2.with_facts(magic_fact)
                 added = added + (magic_fact,)
         self._n_hypo.value += 1
+        trace = self._tracer
+        if trace.enabled:
+            label = str(Hypothetical(goal, additions, deletions))
+            with trace.span("hypothesis", label, src=span):
+                return self._child_holds(
+                    goal, added, deletions, db2, db, interp, domain,
+                    layer_index,
+                )
+        return self._child_holds(
+            goal, added, deletions, db2, db, interp, domain, layer_index
+        )
+
+    def _child_holds(
+        self,
+        goal: Atom,
+        additions: tuple[Atom, ...],
+        deletions: tuple[Atom, ...],
+        db2: Database,
+        db: Database,
+        interp: Interpretation,
+        domain: Sequence[Constant],
+        layer_index: int,
+    ) -> bool:
+        """Is ``goal`` in the model at the child database ``db2``?  A
+        cached model answers from its derived layer; a miss computes
+        the model, seeded from or patched against the parent's state."""
+        overlay = self._lookup(db2, domain)
+        if overlay is not None:
+            self._n_cache_hits.value += 1
+            if goal in db2:
+                return True
+            rows = overlay.get(goal.predicate)
+            return rows is not None and goal.args in rows
         parent = None
         dred = None
         if self._reuse:
-            if (
-                not grounded.deletions
-                or db.without_facts(*grounded.deletions) is db
-            ):
+            if not deletions or db.without_facts(*deletions) is db:
                 # Child is a superset: the monotone-prefix seed holds.
-                additions = tuple(item for item in added if item not in db)
                 parent = _SeedSource(
-                    interp.relation_rows, layer_index, additions
+                    interp.relation_rows,
+                    layer_index,
+                    tuple(item for item in additions if item not in db),
                 )
             else:
                 # A deletion took effect: the child database is not
@@ -1622,15 +1696,7 @@ class PerfectModelEngine:
                 # parent, and both states share this query's domain.
                 removed, added_facts = db.diff(db2)
                 dred = DredSource(interp, layer_index, removed, added_facts)
-        trace = self._tracer
-        ctx = (
-            trace.span("hypothesis", str(grounded), src=span)
-            if trace.enabled
-            else NULL_SPAN
-        )
-        with ctx:
-            model = self._model(db2, domain, parent, dred)
-        return grounded.atom in model
+        return goal in self._compute(db2, domain, parent, dred)
 
     def _inflight_goal(self, goal: Atom, state: list) -> bool:
         """Resolve a recursion into a database whose model is still
@@ -1645,7 +1711,7 @@ class PerfectModelEngine:
         whole-model evaluation cannot resolve; refuse with a pointer at
         the engine that can.
         """
-        interp2, closed, _ = state
+        interp2, closed = state
         layer = self._predicate_layer.get(goal.predicate)
         if layer is None or layer < closed:
             return goal in interp2

@@ -61,7 +61,7 @@ from .body import (
     satisfy_body,
 )
 from .budget import NULL_BUDGET, cancelled_error, depth_error
-from .delta import LayerInstruments, close_layer
+from .delta import Layer, LayerInstruments, close_layer
 from .domain import Domain
 from .interpretation import Interpretation
 
@@ -114,11 +114,12 @@ class LinearStratifiedProver:
         self._memoize = memoize
         self._join_mode = join_mode(optimize_joins)
         # Delta segments, split into their internal negation layers.
-        self._delta_layers: dict[int, list[tuple[Rule, ...]]] = {}
+        # Each layer carries its closure prep (close_layer's Layer).
+        self._delta_layers: dict[int, list[Layer]] = {}
         for stratum in range(1, self._strat.k + 1):
             delta_rules = self._strat.delta(stratum)
             segment = Rulebase(delta_rules)
-            layers: list[tuple[Rule, ...]] = []
+            layers: list[Layer] = []
             for component in negation_strata(segment):
                 group = tuple(
                     item
@@ -126,7 +127,7 @@ class LinearStratifiedProver:
                     for item in segment.definition(predicate)
                 )
                 if group:
-                    layers.append(group)
+                    layers.append(Layer(group, restricted=False))
             self._delta_layers[stratum] = layers
         # Caches.
         self._sigma_true: set[tuple[Atom, Database]] = set()
@@ -580,17 +581,19 @@ class LinearStratifiedProver:
             else NULL_SPAN
         )
         with delta_ctx:
-            for layer_index, group in enumerate(self._delta_layers[stratum]):
+            for layer_index, layer in enumerate(self._delta_layers[stratum]):
                 layer_ctx = (
                     trace.span(
-                        "stratum", str(layer_index), args={"rules": len(group)}
+                        "stratum",
+                        str(layer_index),
+                        args={"rules": len(layer.rules)},
                     )
                     if trace.enabled
                     else NULL_SPAN
                 )
                 with layer_ctx:
                     close_layer(
-                        group,
+                        layer,
                         interp,
                         domain,
                         positive=positive,

@@ -264,13 +264,15 @@ class TestEntryPoints:
         assert exc.value.partial.atoms <= engine.model(db)
 
     def test_deadline_exhaustion_latency(self):
-        # Acceptance: the raise lands within 1.2x the deadline.
+        # Acceptance: the raise lands within 1.2x the deadline.  The
+        # instance must outlast the deadline unbudgeted: complete-9
+        # takes ~0.4 s on a 2-vCPU VM (complete-7 finishes in ~0.045 s).
         import time
 
         engine = PerfectModelEngine(hamiltonian_rulebase())
         db = graph_db(
-            [f"v{i}" for i in range(7)],
-            [(f"v{i}", f"v{j}") for i in range(7) for j in range(7) if i != j],
+            [f"v{i}" for i in range(9)],
+            [(f"v{i}", f"v{j}") for i in range(9) for j in range(9) if i != j],
         )
         deadline = 0.05
         start = time.monotonic()

@@ -16,11 +16,14 @@ from repro.core.errors import EvaluationError
 from repro.core.parser import parse_program
 from repro.core.terms import atom
 from repro.engine.budget import Budget
+from repro.analysis.planner import cost_aware_positive_order
 from repro.engine.kernels import KernelProgram, compile_mode
 from repro.engine.model import PerfectModelEngine
+from repro.engine.topdown import TopDownEngine
 from repro.library import (
     graduation_db,
     graduation_rulebase,
+    graph_db,
     hamiltonian_rulebase,
     parity_db,
     parity_rulebase,
@@ -118,9 +121,10 @@ def test_parity_under_naive_strategy_and_no_reuse():
 
 
 def test_hypothesis_expansions_memoized_not_inflated():
-    """Compiled hypothesis decisions are memoized per (premise, db,
-    grounding): the compiled engine expands each distinct instance at
-    most once, so its count never exceeds the interpreted engine's."""
+    """Compiled hypothesis decisions are memoized per (premise shape up
+    to variable renaming, grounding) per model: the compiled engine
+    expands each distinct instance at most once per database, so its
+    count never exceeds the interpreted engine's."""
     rulebase = parity_rulebase()
     db = parity_db([f"x{i}" for i in range(5)])
     off, on = _assert_parity(rulebase, db)
@@ -130,6 +134,124 @@ def test_hypothesis_expansions_memoized_not_inflated():
         on.metrics.counter(expansions).value
         <= off.metrics.counter(expansions).value
     )
+
+
+# ----------------------------------------------------------------------
+# Decisions shared between premises of one shape
+# ----------------------------------------------------------------------
+
+
+def test_renamed_premises_share_decisions():
+    """Example 7's ``path(X)[add: pnode(X)]`` (in ``yes``) and
+    ``path(Y)[add: pnode(Y)]`` (in ``path``) are one premise up to
+    renaming: each of the 2^n models decides each of its n children
+    once, not once per premise, with models and counters as
+    interpreted."""
+    nodes = [f"v{i}" for i in range(5)]
+    db = graph_db(nodes, [(a, b) for a in nodes for b in nodes if a != b])
+    off, on = _assert_parity(hamiltonian_rulebase(), db)
+    assert on.ask(db, "yes") and off.ask(db, "yes")
+    assert on.metrics.counter("model.hypothesis_expansions").value == 5 * 2**4
+    assert (
+        on.metrics.counter("model.hypothesis_expansions").value
+        <= off.metrics.counter("model.hypothesis_expansions").value
+    )
+
+
+@pytest.mark.parametrize(
+    "program, facts",
+    [
+        # Differ only in an addition.
+        (
+            """
+            a :- n(X), g(X)[add: r(X)].
+            b :- n(X), g(X)[add: t(X)].
+            g(X) :- r(X).
+            """,
+            [atom("n", "c")],
+        ),
+        # Differ only in a constant.
+        (
+            """
+            a :- n(X), g(X, c)[add: r(X)].
+            b :- n(X), g(X, d)[add: r(X)].
+            g(X, Y) :- r(X), m(Y).
+            """,
+            [atom("n", "k"), atom("m", "c")],
+        ),
+        # Differ only in a repeated variable.
+        (
+            """
+            a :- n(X), n(Y), g(X, Y)[add: r(Y)].
+            b :- n(X), n(Y), g(X, X)[add: r(Y)].
+            g(X, Y) :- e(X, Y), r(Y).
+            """,
+            [atom("n", "c"), atom("n", "d"), atom("e", "c", "d")],
+        ),
+    ],
+    ids=["addition", "constant", "repeated-variable"],
+)
+def test_premises_of_different_shapes_keep_separate_decisions(program, facts):
+    """Two premises that read alike but name different instances at the
+    same ids must not share a verdict: ``a`` holds and ``b`` does not,
+    compiled or interpreted, as in the top-down engine."""
+    rulebase = parse_program(program)
+    db = Database(facts)
+    expected = {"a": True, "b": False}
+    oracle = TopDownEngine(rulebase)
+    assert {goal: oracle.ask(db, goal) for goal in expected} == expected
+    for mode in ("on", "off"):
+        engine = PerfectModelEngine(rulebase, compile=mode)
+        model = engine.model(db)
+        assert {goal: atom(goal) in model for goal in expected} == expected
+
+
+# ----------------------------------------------------------------------
+# The join-order memo: exact and bounded
+# ----------------------------------------------------------------------
+
+
+def test_memoized_join_orders_equal_fresh_plans():
+    """Every memoized order is the planner's order at the sizes in its
+    key, with the non-positive premises after it."""
+    engine = PerfectModelEngine(hamiltonian_rulebase())
+    nodes = [f"v{i}" for i in range(5)]
+    for shift in (0, 1):  # two calls: both generations hold plans
+        edges = [
+            (a, b) for a in nodes for b in nodes if a < b or b == nodes[shift]
+        ]
+        engine.ask(graph_db(nodes, edges), "yes")
+    program = engine._kernel_program
+    plans = {**program._plans_previous, **program._plans}
+    assert plans and program.cached_plans == len(plans)
+    for (rule_id, sizes, domain_size), (ordered, order_key) in plans.items():
+        spec = program._specs[rule_id]
+        size_of = {
+            premise.atom.predicate: size
+            for premise, size in zip(spec.positives, sizes)
+        }
+        fresh = cost_aware_positive_order(
+            spec.positives, (), size_of.__getitem__, domain_size
+        )
+        assert [id(p) for p in ordered] == [id(p) for p in fresh + spec.rest]
+        assert order_key == tuple(spec.index_of[id(p)] for p in ordered)
+
+
+def test_join_order_memo_keeps_what_the_last_two_calls_touched():
+    """A long-lived engine answering 1,000 one-fact writes, each at new
+    relation sizes, keeps the join orders of its last two calls only."""
+    rulebase = parse_program("p(X, Y) :- q(X), e(X, Y).")
+    engine = PerfectModelEngine(rulebase)
+    program = engine._kernel_program
+    db = Database([atom("e", f"n{index}", "m") for index in range(0, 1000, 7)])
+    for index in range(1000):
+        db = db.with_facts(atom("q", f"n{index}"))
+        model = engine.model(db)
+        if index % 250 == 0:
+            assert model == PerfectModelEngine(rulebase).model(db)
+        assert program.cached_plans <= 2
+    # Between calls the memo holds what the last call planned: one order.
+    assert program.cached_plans == 1
 
 
 # ----------------------------------------------------------------------
