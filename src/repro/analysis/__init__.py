@@ -14,7 +14,6 @@ from .diagnostics import (
     worst_severity,
 )
 from .demand import DemandReport, derive_demand
-from .lint import LintFinding, lint
 from .magic import MagicProgram, MagicResult, format_rewrite, magic_rewrite
 from .modes import ModeReport, RuleDataflow, adorn, analyze_modes, rule_dataflow
 from .monotone import is_add_monotone, monotone_layer_prefix
@@ -67,8 +66,6 @@ __all__ = [
     "classify",
     "AppendixABound",
     "proof_sequence_bound",
-    "LintFinding",
-    "lint",
     "CODES",
     "Diagnostic",
     "DiagnosticConfig",

@@ -1,9 +1,9 @@
 """Unified diagnostics: stable codes, severities, source spans, emitters.
 
-Every static finding this package can produce — the legacy linter's
-hygiene checks, the binding-mode analyzer's blowup estimates, parse
-and validation failures — flows through one :class:`Diagnostic` type
-with
+Every static finding this package can produce — the hygiene checks
+(unsafe heads, floating hypotheses, reference hygiene), the
+binding-mode analyzer's blowup estimates, parse and validation
+failures — flows through one :class:`Diagnostic` type with
 
 * a **stable code** (``unsafe-head``, ``cost-blowup``, ...) that
   configuration and golden tests key on;

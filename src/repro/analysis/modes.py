@@ -12,7 +12,7 @@ binds them first.
 
 That grounded-variable count is the rule's domain-blowup exponent: a
 rule grounding ``n`` variables costs ``|dom|^n`` candidate bindings
-before a single premise is checked.  The legacy linter's
+before a single premise is checked.  The hygiene codes
 ``unsafe-head`` (a head variable nothing binds) and
 ``floating-hypothesis`` (a hypothetical premise sharing no variable
 with a positive premise) are both shadows of this one quantity, and

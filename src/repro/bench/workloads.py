@@ -8,13 +8,17 @@ so runs are reproducible.
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ..core.ast import Rulebase
 from ..core.database import Database
+from ..core.errors import ResourceExhausted
 from ..core.parser import parse_program
+from ..engine.budget import Budget
+from ..library import graph_db, hamiltonian_rulebase
 
 __all__ = [
+    "hamiltonian_outlasting",
     "random_graph",
     "path_graph",
     "cycle_graph",
@@ -38,6 +42,40 @@ def random_graph(
         if source != target and rng.random() < edge_probability
     ]
     return nodes, edges
+
+
+def hamiltonian_outlasting(
+    engine_factory: Callable[[Rulebase], object],
+    seconds: float,
+    *,
+    isolated: bool = False,
+    max_nodes: int = 16,
+) -> tuple[Rulebase, Database]:
+    """Example 7 over the smallest complete digraph on which a fresh
+    ``engine_factory(rulebase)`` asked ``yes`` is still running after
+    ``seconds``: a budget with that timeout trips.
+
+    A deadline test sizes its instance this way, so the instance grows
+    as the engines get faster and the test keeps raising.  With
+    ``isolated`` the graph gains a node without edges: no Hamiltonian
+    path exists, so a goal-directed search cannot stop at a first
+    proof.
+    """
+    rulebase = hamiltonian_rulebase()
+    for n in range(2, max_nodes + 1):
+        nodes = [f"v{index}" for index in range(n)]
+        edges = [(a, b) for a in nodes for b in nodes if a != b]
+        db = graph_db(nodes + ["lone"] if isolated else nodes, edges)
+        engine = engine_factory(rulebase)
+        try:
+            engine.ask(db, "yes", budget=Budget(timeout=seconds))
+        except ResourceExhausted as error:
+            if error.reason != "deadline":
+                raise
+            return rulebase, db
+    raise ValueError(
+        f"no complete graph of up to {max_nodes} nodes runs {seconds} s"
+    )
 
 
 def path_graph(n: int) -> tuple[list[str], list[tuple[str, str]]]:

@@ -13,7 +13,6 @@ Installed as ``hypodatalog`` (also ``python -m repro``).  Subcommands:
   and print the span tree plus a metrics table; ``--trace-out FILE``
   writes a Chrome ``trace_event`` file (chrome://tracing / Perfetto)
   and ``--jsonl-out FILE`` a JSON-lines trace;
-* ``lint RULES`` — static hygiene warnings (legacy codes);
 * ``check RULES...`` — full diagnostics: source spans, binding-mode
   findings, cost estimates; ``--format {text,json,sarif}`` and a
   ``--fail-on`` severity gate for CI;
@@ -275,23 +274,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="omit durations from the printed tree (stable output)",
     )
     _budget_arguments(profile_cmd)
-
-    lint_cmd = commands.add_parser(
-        "lint", help="static hygiene warnings for a rulebase"
-    )
-    lint_cmd.add_argument("rules", help="rulebase file ('-' for stdin)")
-    lint_cmd.add_argument(
-        "--format",
-        default="text",
-        choices=("text", "json", "sarif"),
-        help="output format (default: text)",
-    )
-    lint_cmd.add_argument(
-        "-v",
-        "--verbose",
-        action="store_true",
-        help="include the offending rule text in text output",
-    )
 
     check_cmd = commands.add_parser(
         "check",
@@ -607,31 +589,6 @@ def _dispatch(options: argparse.Namespace) -> int:
 
         print(DependencyGraph.from_rulebase(rulebase).to_dot())
         return 0
-    if options.command == "lint":
-        from .analysis.diagnostics import Diagnostic, to_json, to_sarif
-        from .analysis.lint import lint
-
-        findings = lint(rulebase)
-        if options.format == "text":
-            for finding in findings:
-                print(finding.render(verbose=options.verbose))
-            if not findings:
-                print("no findings")
-        else:
-            diags = [
-                Diagnostic(
-                    code=f.code,
-                    message=f.message,
-                    severity=f.severity,
-                    span=f.span,
-                    rule=f.rule,
-                )
-                for f in findings
-            ]
-            emit = to_json if options.format == "json" else to_sarif
-            print(emit(diags))
-        warnings = [f for f in findings if f.severity == "warning"]
-        return 1 if warnings else 0
     if options.command == "explain":
         return _run_explain(options, rulebase)
     if options.command == "serve":

@@ -2,10 +2,9 @@
 
 This is the storage half of the compiled substrate.  A
 :class:`ColumnarRelation` is the encoded image of one predicate's row
-set: parallel ``array('q')`` int columns as the canonical storage (when
-the rows share an arity), with row tuples, per-position probe indexes,
-and a ground-membership rowset derived lazily on first use.  Encoded
-relations are immutable and cached per *frozenset object* by a
+set: its rows as tuples of interned ids, with per-position probe
+indexes and a ground-membership rowset derived lazily on first use.
+Encoded relations are immutable and cached per *frozenset object* by a
 :class:`ColumnStore` — the copy-on-write :class:`~repro.core.database.
 Database` and :class:`~repro.engine.interpretation.Interpretation`
 share row-set objects structurally across the 2^|A| lattice of child
@@ -34,9 +33,9 @@ never unpack a row of the wrong width.
 
 from __future__ import annotations
 
-from array import array
 from typing import Iterable, Optional
 
+from .generations import TwoGenerations
 from .interning import SymbolTable
 
 __all__ = ["ColumnarRelation", "ColumnStore", "RelationView"]
@@ -45,15 +44,14 @@ _EMPTY_FROZENSET: frozenset = frozenset()
 
 
 class ColumnarRelation:
-    """One immutable encoded relation: int columns + probe structures.
+    """One immutable encoded relation: int rows + probe structures.
 
-    ``columns`` is the canonical parallel-array storage (present when
-    all rows share an arity and it is nonzero); tuple lists, indexes,
-    and the rowset are derived views cached on first use.  Instances
-    are shared across engines' views and must never be mutated.
+    Per-arity tuple lists, indexes, and the rowset are derived views
+    cached on first use.  Instances are shared across engines' views
+    and must never be mutated.
     """
 
-    __slots__ = ("size", "uniform", "columns", "_tuples", "_rowset", "_by_arity", "_indexes")
+    __slots__ = ("size", "uniform", "_tuples", "_rowset", "_by_arity", "_indexes")
 
     def __init__(self, rows: Iterable[tuple[int, ...]]) -> None:
         tuples = list(rows)
@@ -62,11 +60,6 @@ class ColumnarRelation:
         lengths = {len(row) for row in tuples}
         #: the shared arity when rows are uniform, else None (mixed/empty).
         self.uniform: Optional[int] = lengths.pop() if len(lengths) == 1 else None
-        self.columns: Optional[tuple[array, ...]] = None
-        if self.uniform:
-            self.columns = tuple(
-                array("q", (row[i] for row in tuples)) for i in range(self.uniform)
-            )
         self._rowset: Optional[frozenset] = None
         self._by_arity: Optional[dict[int, list]] = None
         self._indexes: dict[tuple[int, int], dict[int, list]] = {}
@@ -119,20 +112,17 @@ class ColumnStore:
     Keyed by the *object* (identity-compatible hash of the frozenset),
     exploiting the COW layer's structural sharing: every lattice child
     that inherits a relation unchanged hits the same cache entry.  The
-    cache keeps two generations, as the model engine's model cache
-    does: a lookup promotes from the previous one, and
-    :meth:`next_generation` (called as each engine call returns) drops
-    it, so the store holds what the last two calls that used it
-    encoded or read.  Encoded relations reachable from live views
-    survive the drop.
+    cache is a :class:`~repro.core.generations.TwoGenerations`, rotated
+    by :meth:`next_generation` as each engine call returns, so the
+    store holds what the last two calls that used it encoded or read.
+    Encoded relations reachable from live views survive the drop.
     """
 
-    __slots__ = ("symbols", "_cache", "_previous")
+    __slots__ = ("symbols", "_cache")
 
     def __init__(self, symbols: Optional[SymbolTable] = None) -> None:
         self.symbols = symbols if symbols is not None else SymbolTable()
-        self._cache: dict[frozenset, ColumnarRelation] = {}
-        self._previous: dict[frozenset, ColumnarRelation] = {}
+        self._cache = TwoGenerations()
 
     def encode_row(self, args) -> tuple[int, ...]:
         """Encode one ground argument tuple."""
@@ -144,24 +134,20 @@ class ColumnStore:
             return _EMPTY_RELATION
         found = self._cache.get(rows)
         if found is None:
-            found = self._previous.pop(rows, None)
-            if found is None:
-                encode = self.symbols.encode_args
-                found = ColumnarRelation(encode(args) for args in rows)
-            self._cache[rows] = found
+            encode = self.symbols.encode_args
+            found = self._cache[rows] = ColumnarRelation(
+                encode(args) for args in rows
+            )
         return found
 
     def next_generation(self) -> None:
-        """Drop what no lookup promoted since the last call; the
-        current generation becomes the previous one.  A call that
-        encoded or read nothing (a model cache hit) leaves both as
-        they are."""
-        if self._cache:
-            self._previous = self._cache
-            self._cache = {}
+        """Drop what no lookup touched since the last call.  A call
+        that encoded or read nothing (a model cache hit) leaves the
+        store as it is."""
+        self._cache.rotate()
 
     def __len__(self) -> int:
-        return len(self._cache) + len(self._previous)
+        return len(self._cache)
 
 
 class RelationView:

@@ -10,6 +10,8 @@
   cascade for linearly stratified rulebases.
 * :mod:`repro.engine.topdown` — tabled goal-directed evaluation for the
   full (PSPACE) language.
+* :mod:`repro.engine.front` — what the three share: the governed call
+  (budget, interrupt contract) and the goal-directed ``ask``/``answers``.
 * :mod:`repro.engine.proofs` — proof objects: explanations with an
   independent Definition 3 checker.
 * :mod:`repro.engine.query` — engine-agnostic session API.

@@ -280,18 +280,22 @@ def close_layer(
     budget=NULL_BUDGET,
     record=None,
     kernels=None,
-) -> Interpretation:
-    """Close one stratum's rules over ``interp``; return the new atoms.
+    into: Optional[Interpretation] = None,
+) -> None:
+    """Close one stratum's rules over ``interp``, growing it in place.
 
-    ``interp`` is grown in place; the returned interpretation holds
-    exactly the atoms this closure added.  ``positive``, ``negated`` and
-    ``hypothetical`` decide the three premise kinds as in
-    :func:`~repro.engine.body.satisfy_body`; ``positive`` must read
-    ``interp`` for the predicates these rules derive.  A ``layer``
-    built with ``restricted=True`` needs ``hypothetical_delta``.  See
-    the module docstring for the delta discipline and the meaning of
-    ``seed_delta``; a seeded closure re-fires ``layer``'s
-    ``refire_full`` rules in full on its first round.
+    ``into``, when given, also receives every atom this closure adds.
+    It may be ``seed_delta`` itself: atoms are accepted only after the
+    round that reads the seed has fired every rule.
+
+    ``positive``, ``negated`` and ``hypothetical`` decide the three
+    premise kinds as in :func:`~repro.engine.body.satisfy_body`;
+    ``positive`` must read ``interp`` for the predicates these rules
+    derive.  A ``layer`` built with ``restricted=True`` needs
+    ``hypothetical_delta``.  See the module docstring for the delta
+    discipline and the meaning of ``seed_delta``; a seeded closure
+    re-fires ``layer``'s ``refire_full`` rules in full on its first
+    round.
 
     ``budget`` (a :class:`~repro.engine.budget.Budget`) is charged one
     step per rule firing (site ``delta.firings``) and one atom per
@@ -337,7 +341,6 @@ def close_layer(
 
     traced = tracer.enabled
     governed = budget.enabled
-    derived_all = Interpretation()
 
     def fire(item, head_variables, guards, target, delta) -> Iterator[Atom]:
         """Head instances of one rule; ``target`` restricts one premise
@@ -410,7 +413,8 @@ def close_layer(
                 if kernels is not None:
                     kernels.added(head)
                 next_delta.add(head)
-                derived_all.add(head)
+                if into is not None:
+                    into.add(head)
                 if n_derived is not None:
                     n_derived.value += 1
                 if governed:
@@ -441,6 +445,6 @@ def close_layer(
             next_delta = run_round(delta, first)
         first = False
         if not len(next_delta):
-            return derived_all
+            return
         if not naive:
             delta = next_delta

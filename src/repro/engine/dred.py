@@ -47,6 +47,10 @@ processed bottom-up and classified per change:
   additions flow through every boundary: a lower-stratum deletion can
   add atoms through negation, and vice versa.
 
+:class:`DredDriver` runs this classification over a whole model, one
+stratum at a time, for the engine that owns it; :func:`patch_stratum`
+is the incremental case.
+
 The patched model is bit-for-bit the model a fresh fixpoint would
 compute — ``PerfectModelEngine(cross_check=True)`` verifies exactly
 that, and the E23 bench (``benchmarks/bench_e23_dred.py``) pins the
@@ -56,9 +60,9 @@ full fixpoint's rule firings.  See docs/INCREMENTAL.md.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from ..core.ast import Hypothetical, Negated, Positive, Rule
+from ..core.ast import Hypothetical, Positive, Rule
 from ..core.database import Database
 from ..core.errors import EvaluationError
 from ..core.terms import Atom, Constant, Term
@@ -69,6 +73,7 @@ from .delta import delta_sources, rule_firings
 from .interpretation import Interpretation
 
 __all__ = [
+    "DredDriver",
     "DredInstruments",
     "DredSource",
     "patch_stratum",
@@ -337,3 +342,156 @@ def patch_stratum(
             for item in atoms:
                 seed.add(item)
     return deleted, seed
+
+
+class DredDriver:
+    """Patches one engine's models stratum by stratum.
+
+    Built once per engine over its negation strata (``layer_rules`` and
+    ``layer_predicates``, bottom-up).  It classifies each stratum once
+    (:func:`stratum_reads`, :func:`stratum_incremental`) and counts its
+    work in the engine's registry: ``dred.models_patched``,
+    ``dred.strata_skipped``/``_incremental``/``_recomputed`` and
+    :func:`patch_stratum`'s :class:`DredInstruments`.
+    """
+
+    def __init__(
+        self,
+        layer_rules: Sequence[tuple[Rule, ...]],
+        layer_predicates: Sequence[frozenset[str]],
+        metrics,
+    ) -> None:
+        self._strata = [
+            (rules, predicates, stratum_reads(rules), stratum_incremental(rules))
+            for rules, predicates in zip(layer_rules, layer_predicates)
+        ]
+        counter = metrics.counter
+        self._n_patched = counter("dred.models_patched")
+        self._n_skipped = counter("dred.strata_skipped")
+        self._n_incremental = counter("dred.strata_incremental")
+        self._n_recomputed = counter("dred.strata_recomputed")
+        self._instruments = DredInstruments(
+            overdelete_firings=counter("dred.overdelete_firings"),
+            atoms_overdeleted=counter("dred.atoms_overdeleted"),
+            atoms_rederived=counter("dred.atoms_rederived"),
+            rederive_checks=counter("dred.rederive_checks"),
+        )
+
+    def fill(
+        self,
+        frame: list,
+        db: Database,
+        domain: Sequence[Constant],
+        source: DredSource,
+        close: Callable[..., None],
+        *,
+        optimize: bool,
+        tracer,
+        budget,
+    ) -> None:
+        """Fill the in-flight ``frame`` (``[interpretation, strata
+        closed]``) with the model at ``db`` by patching the pre-change
+        state in ``source`` instead of running the fixpoint from
+        scratch; ``close(index, seed_delta=None)`` closes one stratum of
+        the frame.
+
+        Strata the source has closed are skipped (no relevant change),
+        DRed-patched (purely positive), or re-closed and diffed
+        (negation / hypothetical premises); strata beyond
+        ``source.closed_layers`` — a live parent interrupted
+        mid-evaluation — are computed fresh.  The predicate-level
+        removed/added accumulators start from the EDB diff and are
+        replaced per stratum with the *extension* diff, so only net
+        changes propagate upward.  The old model is read in place.
+        Strata without rules hold EDB facts only, which the new
+        interpretation already has in its base and the EDB diff already
+        describes, so nothing is copied, closed or diffed for them.
+        """
+        interp = frame[0]
+        old = source.old
+        removed_acc: dict[str, set[Atom]] = {}
+        added_acc: dict[str, set[Atom]] = {}
+        for item in source.removed:
+            removed_acc.setdefault(item.predicate, set()).add(item)
+        for item in source.added:
+            added_acc.setdefault(item.predicate, set()).add(item)
+        self._n_patched.value += 1
+        if tracer.enabled:
+            tracer.event(
+                "dred",
+                "patch",
+                args={
+                    "db": len(db),
+                    "removed": len(source.removed),
+                    "added": len(source.added),
+                    "closed_layers": source.closed_layers,
+                },
+            )
+        fresh_from = min(source.closed_layers, len(self._strata))
+
+        def patch(index: int) -> None:
+            rules, predicates, reads, incremental = self._strata[index]
+            if index >= fresh_from:
+                # The source never closed this stratum; nothing to
+                # patch against.  (Only live parents end here — a
+                # cached model has every stratum closed.)
+                if rules:
+                    close(index)
+                self._n_recomputed.value += 1
+                return
+            touched = reads is None or any(
+                removed_acc.get(predicate) or added_acc.get(predicate)
+                for predicate in (reads | predicates)
+            )
+            if not touched:
+                if rules:
+                    for predicate in predicates:
+                        interp.add_rows(
+                            predicate, old.relation_rows(predicate)
+                        )
+                self._n_skipped.value += 1
+                return
+            if not rules:
+                self._n_incremental.value += 1
+                return
+            if incremental:
+                deleted, seed = patch_stratum(
+                    rules,
+                    predicates,
+                    old,
+                    interp,
+                    db,
+                    domain,
+                    removed_acc,
+                    added_acc,
+                    optimize=optimize,
+                    instruments=self._instruments,
+                    budget=budget,
+                )
+                close(index, seed)
+                self._n_incremental.value += 1
+            else:
+                # Negation or hypotheses: anti-monotone under the
+                # change — re-close in full over the patched lower
+                # strata, then diff to keep propagating.
+                close(index)
+                self._n_recomputed.value += 1
+            for predicate in predicates:
+                old_rows = old.relation(predicate)
+                new_rows = interp.relation(predicate)
+                removed_acc[predicate] = {
+                    Atom(predicate, args) for args in old_rows - new_rows
+                }
+                added_acc[predicate] = {
+                    Atom(predicate, args) for args in new_rows - old_rows
+                }
+
+        for index, (rules, *_rest) in enumerate(self._strata):
+            if tracer.enabled:
+                with tracer.span(
+                    "stratum", str(index), args={"rules": len(rules)}
+                ):
+                    patch(index)
+            else:
+                patch(index)
+            frame[1] = index + 1

@@ -66,6 +66,7 @@ from ..analysis.planner import (
 from ..core.ast import Hypothetical, Positive, Rule
 from ..core.columns import ColumnStore, RelationView
 from ..core.errors import EvaluationError
+from ..core.generations import TwoGenerations
 from ..core.interning import SymbolTable
 from ..core.terms import Constant, Variable
 from ..obs.metrics import Counter
@@ -509,11 +510,9 @@ class KernelProgram:
         self._kernels: dict[tuple, Optional[Callable]] = {}
         self._sources: dict[int, dict[tuple, str]] = {}
         self._domain_ids: Optional[tuple] = None
-        # Cost-planned join orders, current and previous generation:
-        # (rule id, positive premises' relation sizes, domain size) ->
-        # (premise order, body positions).
-        self._plans: dict[tuple, tuple] = {}
-        self._plans_previous: dict[tuple, tuple] = {}
+        # Cost-planned join orders: (rule id, positive premises'
+        # relation sizes, domain size) -> (premise order, body positions).
+        self._plans = TwoGenerations()
 
     def domain_ids(self, domain) -> list[int]:
         """Interned ids for a domain sequence, cached by identity.
@@ -570,32 +569,28 @@ class KernelProgram:
         key = (spec.key, sizes, domain_size)
         found = self._plans.get(key)
         if found is None:
-            found = self._plans_previous.pop(key, None)
-            if found is None:
-                ordered = (
-                    cost_aware_positive_order(
-                        spec.positives, (), count, domain_size
-                    )
-                    + spec.rest
-                )
-                index_of = spec.index_of
-                found = (ordered, tuple(index_of[id(p)] for p in ordered))
-            self._plans[key] = found
+            ordered = (
+                cost_aware_positive_order(spec.positives, (), count, domain_size)
+                + spec.rest
+            )
+            index_of = spec.index_of
+            found = self._plans[key] = (
+                ordered,
+                tuple(index_of[id(p)] for p in ordered),
+            )
         return found
 
     @property
     def cached_plans(self) -> int:
         """Join orders held: what the last two generations planned."""
-        return len(self._plans) + len(self._plans_previous)
+        return len(self._plans)
 
     def next_generation(self) -> None:
         """Drop the previous generation of encoded relations and join
         orders and make the current one previous; each is left as it
         is by a call that did not touch it."""
         self.store.next_generation()
-        if self._plans:
-            self._plans_previous = self._plans
-            self._plans = {}
+        self._plans.rotate()
 
     def kernel(
         self,

@@ -106,7 +106,6 @@ independent of how many databases are cached.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import (
     Callable,
     Iterable,
@@ -120,8 +119,9 @@ from typing import (
 from ..core.ast import Hypothetical, Negated, Positive, Premise, Rule, Rulebase
 from ..core.database import Database
 from ..core.errors import EvaluationError, InvariantViolation, ResourceExhausted
+from ..core.generations import TwoGenerations
 from ..core.parser import as_premise, parse_premise
-from ..core.terms import Atom, Constant, Term, Variable
+from ..core.terms import Atom, Constant, Term
 from ..core.unify import Substitution, ground_instances
 from ..obs.metrics import MetricsRegistry
 from ..obs.provenance import (
@@ -133,22 +133,15 @@ from ..obs.provenance import (
 from ..obs.trace import NULL_TRACER, Tracer
 from ..testing import failpoints as _failpoints
 from .body import cost_aware_positive_order, join_mode
-from .budget import NULL_BUDGET, cancelled_error, depth_error
+from .budget import NULL_BUDGET
 from .delta import Layer, LayerInstruments, close_layer
 from .domain import Domain
-from .dred import (
-    DredInstruments,
-    DredSource,
-    patch_stratum,
-    stratum_incremental,
-    stratum_reads,
-)
+from .dred import DredDriver, DredSource
+from .front import GovernedEngine, Query
 from .interpretation import Interpretation
 from .kernels import KernelProgram, compile_mode
 
 __all__ = ["PerfectModelEngine"]
-
-Query = Union[str, Atom, Premise]
 
 
 class _SeedSource:
@@ -180,7 +173,7 @@ class _DemandEntry:
         self.engine = engine
 
 
-class PerfectModelEngine:
+class PerfectModelEngine(GovernedEngine):
     """Memoizing bottom-up evaluator for hypothetical Datalog¬.
 
     Parameters
@@ -349,24 +342,13 @@ class PerfectModelEngine:
             for rules in self._layer_rules[: self._seed_prefix]
             for item in rules
         )
-        # Per-stratum deletion-propagation classification: which
-        # predicates can invalidate the stratum (None = any), and
-        # whether DRed may patch it in place (purely positive rules).
-        self._dred_reads = [
-            stratum_reads(rules) for rules in self._layer_rules
-        ]
-        self._dred_incremental = [
-            stratum_incremental(rules) for rules in self._layer_rules
-        ]
         self._strategy = strategy
         self._reuse = bool(reuse_models) and strategy == "seminaive"
         self._dom = Domain(rulebase.constants())
-        # The model cache, current and previous generation (see
-        # "Lineage and the model cache" above): database -> (the domain
-        # the model was grounded over, its derived layer above the
-        # database by predicate).
-        self._cache: dict[Database, tuple[list, dict[str, set]]] = {}
-        self._previous: dict[Database, tuple[list, dict[str, set]]] = {}
+        # The model cache (see "Lineage and the model cache" above):
+        # database -> (the domain the model was grounded over, its
+        # derived layer above the database by predicate).
+        self._cache = TwoGenerations()
         # Lineage: the last database a public query was answered at,
         # its model and the domain it was computed over.  A top-level
         # cache miss seeds or patches from it (see _lineage).
@@ -442,16 +424,9 @@ class PerfectModelEngine:
         self._n_fallbacks = counter("engine.fallbacks")
         self._n_demand_fallbacks = counter("engine.demand_fallbacks")
         self._n_probes = counter("interp.index_probes")
-        self._n_patched = counter("dred.models_patched")
-        self._n_strata_skipped = counter("dred.strata_skipped")
-        self._n_strata_incremental = counter("dred.strata_incremental")
-        self._n_strata_recomputed = counter("dred.strata_recomputed")
         self._n_magic = counter("demand.magic_facts")
-        self._dred_instruments = DredInstruments(
-            overdelete_firings=counter("dred.overdelete_firings"),
-            atoms_overdeleted=counter("dred.atoms_overdeleted"),
-            atoms_rederived=counter("dred.atoms_rederived"),
-            rederive_checks=counter("dred.rederive_checks"),
+        self._dred = DredDriver(
+            self._layer_rules, self._layer_predicates, self.metrics
         )
         self._h_model_size = self.metrics.histogram("model.model_size")
         self._h_atoms_seeded = self.metrics.histogram("model.atoms_seeded")
@@ -462,17 +437,9 @@ class PerfectModelEngine:
             delta_size=self.metrics.histogram("model.delta_size"),
         )
 
-    @property
-    def rulebase(self) -> Rulebase:
-        return self._rulebase
-
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-
-    def domain(self, db: Database) -> list[Constant]:
-        """``dom(R, DB)``: all constants of the rulebase and database."""
-        return list(self._dom(db))
 
     def model(self, db: Database, *, budget=None) -> frozenset[Atom]:
         """All ground atoms derivable from ``db`` (Definition 3 + NAF).
@@ -762,7 +729,6 @@ class PerfectModelEngine:
 
     def clear_cache(self) -> None:
         self._cache.clear()
-        self._previous.clear()
         self._last = None
 
     @property
@@ -770,7 +736,7 @@ class PerfectModelEngine:
         """Models in the cache: between calls, those the last call that
         looked one up touched; during a call, also what this one has
         touched so far."""
-        return len(self._cache) + len(self._previous)
+        return len(self._cache)
 
     # ------------------------------------------------------------------
     # Demand (magic-sets) delegation
@@ -950,10 +916,7 @@ class PerfectModelEngine:
         it."""
         if self._kernel_program is not None:
             self._kernel_program.next_generation()
-        if self._cache:
-            self._n_evictions.value += len(self._previous)
-            self._previous = self._cache
-            self._cache = {}
+        self._n_evictions.value += self._cache.rotate()
 
     @property
     def degraded(self) -> bool:
@@ -993,38 +956,15 @@ class PerfectModelEngine:
                 )
             )
 
-    @contextmanager
-    def _governed(self, budget):
-        """Activate a budget for the duration of one public entry call.
+    def _clear_inflight(self) -> None:
+        self._inflight.clear()
+        self._inflight_dbs.clear()
 
-        Converts ``KeyboardInterrupt`` / ``RecursionError`` into
-        :class:`ResourceExhausted` and attaches the outermost in-flight
-        model's atoms as the partial result, so no evaluation path can
-        lose work or escape with a raw interpreter error.
-        """
-        previous = self._budget
-        active = budget if budget is not None else previous
-        active.begin()
-        self._budget = active
-        try:
-            yield active
-        except ResourceExhausted as error:
-            self._note_exhaustion(error)
-            raise
-        except KeyboardInterrupt:
-            error = cancelled_error(active)
-            self._note_exhaustion(error)
-            raise error from None
-        except RecursionError:
-            error = depth_error(active)
-            self._note_exhaustion(error)
-            raise error from None
-        finally:
-            self._budget = previous
-            self._inflight.clear()
-            self._inflight_dbs.clear()
-
-    def _note_exhaustion(self, error: ResourceExhausted) -> None:
+    def _attach_partial(
+        self, error: ResourceExhausted, partial_answers: Optional[set]
+    ) -> None:
+        """The outermost in-flight model's atoms, without the demand
+        rewrite's auxiliaries, and how many of its strata closed."""
         if self._inflight:
             interp, closed = self._inflight[0]
             aux = self._aux
@@ -1032,13 +972,6 @@ class PerfectModelEngine:
                 atom for atom in interp if atom.predicate not in aux
             )
             error.partial.merge_missing(atoms=atoms, strata_completed=closed)
-        self.metrics.counter("budget.exhausted").value += 1
-        if self._tracer.enabled:
-            self._tracer.event(
-                "budget",
-                error.reason,
-                args={"site": error.site, "steps": error.partial.steps},
-            )
 
     def _fall_back(self, error: InvariantViolation) -> None:
         """Degrade to the naive strategy once, rather than crash or
@@ -1054,8 +987,7 @@ class PerfectModelEngine:
         # generated code, until the caller replaces the engine.
         self._kernel_program = None
         self.clear_cache()
-        self._inflight.clear()
-        self._inflight_dbs.clear()
+        self._clear_inflight()
         self._n_fallbacks.value += 1
         self.diagnostics.append(
             Diagnostic(
@@ -1187,12 +1119,7 @@ class PerfectModelEngine:
         ``domain``, or ``None``; an entry found in the previous
         generation is promoted to the current one."""
         entry = self._cache.get(db)
-        if entry is None:
-            entry = self._previous.pop(db, None)
-            if entry is None:
-                return None
-            self._cache[db] = entry
-        if entry[0] is domain or entry[0] == domain:
+        if entry is not None and (entry[0] is domain or entry[0] == domain):
             return entry[1]
         return None
 
@@ -1292,7 +1219,16 @@ class PerfectModelEngine:
             parent, dred = self._lineage(db, domain)
         close = self._closer(frame, db, domain, record)
         if parent is None and dred is not None and record is None:
-            self._dred_fill(db, domain, frame, dred, close)
+            self._dred.fill(
+                frame,
+                db,
+                domain,
+                dred,
+                close,
+                optimize=self._join_mode == "greedy",
+                tracer=self._tracer,
+                budget=self._budget,
+            )
             return
         seed_limit = 0
         # ``fresh`` is the running delta for seeded strata: the new EDB
@@ -1320,131 +1256,16 @@ class PerfectModelEngine:
         for index, rules in enumerate(self._layer_rules):
             if rules:
                 seed = fresh if index < seed_limit else None
+                # What a seeded stratum adds joins the delta of the
+                # seeded strata above it.
+                into = fresh if index + 1 < seed_limit else None
                 if trace.enabled:
                     with trace.span(
                         "stratum", str(index), args={"rules": len(rules)}
                     ):
-                        new = close(index, seed)
+                        close(index, seed, into)
                 else:
-                    new = close(index, seed)
-                if index + 1 < seed_limit:
-                    fresh.update(new)
-            frame[1] = index + 1
-
-    def _dred_fill(
-        self,
-        db: Database,
-        domain: Sequence[Constant],
-        frame: list,
-        source: DredSource,
-        close: Callable[..., Interpretation],
-    ) -> None:
-        """Fill the in-flight ``frame`` with the model at ``db`` by
-        patching the pre-change state in ``source`` (delete-and-rederive)
-        instead of running the fixpoint from scratch; ``close`` closes
-        one stratum of the frame (see _closer).
-
-        Strata the source has closed are skipped (no relevant change),
-        DRed-patched (purely positive), or re-closed and diffed
-        (negation / hypothetical premises); strata beyond
-        ``source.closed_layers`` — a live parent interrupted
-        mid-evaluation — are computed fresh.  The predicate-level
-        removed/added accumulators start from the EDB diff and are
-        replaced per stratum with the *extension* diff, so only net
-        changes propagate upward.  The old model is read in place.
-        Strata without rules hold EDB facts only, which the new
-        interpretation already has in its base and the EDB diff already
-        describes, so nothing is copied, closed or diffed for them.
-        """
-        interp = frame[0]
-        old = source.old
-        removed_acc: dict[str, set[Atom]] = {}
-        added_acc: dict[str, set[Atom]] = {}
-        for item in source.removed:
-            removed_acc.setdefault(item.predicate, set()).add(item)
-        for item in source.added:
-            added_acc.setdefault(item.predicate, set()).add(item)
-        self._n_patched.value += 1
-        trace = self._tracer
-        if trace.enabled:
-            trace.event(
-                "dred",
-                "patch",
-                args={
-                    "db": len(db),
-                    "removed": len(source.removed),
-                    "added": len(source.added),
-                    "closed_layers": source.closed_layers,
-                },
-            )
-        fresh_from = min(source.closed_layers, len(self._layer_rules))
-
-        def patch(index: int, rules: tuple[Rule, ...]) -> None:
-            predicates = self._layer_predicates[index]
-            if index >= fresh_from:
-                # The source never closed this stratum; nothing to
-                # patch against.  (Only live parents end here — a
-                # cached model has every stratum closed.)
-                if rules:
-                    close(index)
-                self._n_strata_recomputed.value += 1
-                return
-            reads = self._dred_reads[index]
-            touched = reads is None or any(
-                removed_acc.get(predicate) or added_acc.get(predicate)
-                for predicate in (reads | predicates)
-            )
-            if not touched:
-                if rules:
-                    for predicate in predicates:
-                        interp.add_rows(
-                            predicate, old.relation_rows(predicate)
-                        )
-                self._n_strata_skipped.value += 1
-                return
-            if not rules:
-                self._n_strata_incremental.value += 1
-                return
-            if self._dred_incremental[index]:
-                deleted, seed = patch_stratum(
-                    rules,
-                    predicates,
-                    old,
-                    interp,
-                    db,
-                    domain,
-                    removed_acc,
-                    added_acc,
-                    optimize=self._join_mode == "greedy",
-                    instruments=self._dred_instruments,
-                    budget=self._budget,
-                )
-                close(index, seed)
-                self._n_strata_incremental.value += 1
-            else:
-                # Negation or hypotheses: anti-monotone under the
-                # change — re-close in full over the patched lower
-                # strata, then diff to keep propagating.
-                close(index)
-                self._n_strata_recomputed.value += 1
-            for predicate in predicates:
-                old_rows = old.relation(predicate)
-                new_rows = interp.relation(predicate)
-                removed_acc[predicate] = {
-                    Atom(predicate, args) for args in old_rows - new_rows
-                }
-                added_acc[predicate] = {
-                    Atom(predicate, args) for args in new_rows - old_rows
-                }
-
-        for index, rules in enumerate(self._layer_rules):
-            if trace.enabled:
-                with trace.span(
-                    "stratum", str(index), args={"rules": len(rules)}
-                ):
-                    patch(index, rules)
-            else:
-                patch(index, rules)
+                    close(index, seed, into)
             frame[1] = index + 1
 
     def _closer(
@@ -1453,12 +1274,12 @@ class PerfectModelEngine:
         db: Database,
         domain: Sequence[Constant],
         record,
-    ) -> Callable[..., Interpretation]:
+    ) -> Callable[..., None]:
         """One model's closure context: the premise callbacks, planner
         and kernel run that every stratum of the model shares, built
-        once per model.  Returns ``close(index, seed_delta=None)``,
-        which closes stratum ``index`` over the frame's interpretation
-        and returns the atoms it added."""
+        once per model.  Returns ``close(index, seed_delta=None,
+        into=None)``, which closes stratum ``index`` over the frame's
+        interpretation (see :func:`~repro.engine.delta.close_layer`)."""
         interp = frame[0]
         plan = None
         if self._join_mode == "cost":
@@ -1543,9 +1364,11 @@ class PerfectModelEngine:
         budget = self._budget
 
         def close(
-            index: int, seed_delta: Optional[Interpretation] = None
-        ) -> Interpretation:
-            return close_layer(
+            index: int,
+            seed_delta: Optional[Interpretation] = None,
+            into: Optional[Interpretation] = None,
+        ) -> None:
+            close_layer(
                 layers[index],
                 interp,
                 domain,
@@ -1562,6 +1385,7 @@ class PerfectModelEngine:
                 budget=budget,
                 record=record,
                 kernels=kernels,
+                into=into,
             )
 
         return close

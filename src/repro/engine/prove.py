@@ -37,8 +37,7 @@ domain size for linear rulebases.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 from ..analysis.stratify import (
     LinearStratification,
@@ -47,9 +46,8 @@ from ..analysis.stratify import (
 )
 from ..core.ast import Hypothetical, Negated, Positive, Premise, Rule, Rulebase
 from ..core.database import Database
-from ..core.errors import EvaluationError, ResourceExhausted
-from ..core.parser import as_premise, parse_premise
-from ..core.terms import Atom, Constant, Variable
+from ..core.errors import EvaluationError
+from ..core.terms import Atom, Constant
 from ..core.unify import Substitution, ground_instances, match
 from ..analysis.planner import annotate_plan, idb_aware_sizes
 from ..obs.metrics import MetricsRegistry
@@ -60,17 +58,16 @@ from .body import (
     nonlocal_variables,
     satisfy_body,
 )
-from .budget import NULL_BUDGET, cancelled_error, depth_error
+from .budget import NULL_BUDGET
 from .delta import Layer, LayerInstruments, close_layer
 from .domain import Domain
+from .front import GoalDirectedEngine
 from .interpretation import Interpretation
 
 __all__ = ["LinearStratifiedProver"]
 
-Query = Union[str, Atom, Premise]
 
-
-class LinearStratifiedProver:
+class LinearStratifiedProver(GoalDirectedEngine):
     """Goal-directed prover implementing PROVE_Sigma / PROVE_Delta.
 
     Parameters
@@ -91,6 +88,8 @@ class LinearStratifiedProver:
         :class:`~repro.core.errors.ResourceExhausted`; an interrupted
         ``answers`` enumeration attaches the tuples decided so far.
     """
+
+    _exists_site = "prove.exists"
 
     def __init__(
         self,
@@ -158,57 +157,8 @@ class LinearStratifiedProver:
         )
 
     @property
-    def rulebase(self) -> Rulebase:
-        return self._rulebase
-
-    @property
     def stratification(self) -> LinearStratification:
         return self._strat
-
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
-
-    def domain(self, db: Database) -> list[Constant]:
-        """``dom(R, DB)``."""
-        return list(self._dom(db))
-
-    def ask(self, db: Database, query: Query, *, budget=None) -> bool:
-        """Decide a query (atom, premise, or premise text).
-
-        Variables are read existentially; ``~A`` holds iff no instance
-        of ``A`` is provable.  ``budget`` overrides the prover-level
-        budget for this call.
-        """
-        premise = as_premise(query)
-        domain = self._dom(db)
-        with self._governed(budget):
-            if isinstance(premise, Negated):
-                return not self._exists(Positive(premise.atom), db, domain)
-            return self._exists(premise, db, domain)
-
-    def answers(
-        self, db: Database, pattern: Union[str, Atom], *, budget=None
-    ) -> set[tuple]:
-        """All payload tuples making the pattern provable.
-
-        On budget exhaustion the raised
-        :class:`~repro.core.errors.ResourceExhausted` carries the
-        tuples fully decided before the trip (a subset of the
-        unbudgeted answer set)."""
-        if isinstance(pattern, str):
-            premise = parse_premise(pattern)
-            if not isinstance(premise, Positive):
-                raise EvaluationError("answers() needs a plain atom pattern")
-            pattern = premise.atom
-        domain = self._dom(db)
-        variables = list(dict.fromkeys(pattern.variables()))
-        results: set[tuple] = set()
-        with self._governed(budget, partial_answers=results):
-            for binding in ground_instances(variables, domain):
-                if self._decide(Positive(pattern.substitute(binding)), db):
-                    results.add(tuple(binding[var].value for var in variables))  # type: ignore[union-attr]
-        return results
 
     def clear_caches(self) -> None:
         self._sigma_true.clear()
@@ -216,52 +166,11 @@ class LinearStratifiedProver:
         self._delta_cache.clear()
         self._plan_cache.clear()
 
-    @contextmanager
-    def _governed(self, budget, partial_answers: Optional[set] = None):
-        """Activate a budget for one query; keep search state sound.
-
-        Converts ``KeyboardInterrupt`` / ``RecursionError`` into
-        :class:`ResourceExhausted`, attaches ``partial_answers`` when
-        given, and — crucial for reuse — clears the in-flight goal path
-        and Delta progress markers on the way out, so an interrupted
-        query can never poison cycle detection for the next one.  The
-        proven/refuted caches need no scrubbing: entries are only added
-        for fully decided goals, and exhaustion aborts before that.
-        """
-        previous = self._budget
-        active = budget if budget is not None else previous
-        active.begin()
-        self._budget = active
-        try:
-            yield active
-        except ResourceExhausted as error:
-            self._note_exhaustion(error, partial_answers)
-            raise
-        except KeyboardInterrupt:
-            error = cancelled_error(active)
-            self._note_exhaustion(error, partial_answers)
-            raise error from None
-        except RecursionError:
-            error = depth_error(active)
-            self._note_exhaustion(error, partial_answers)
-            raise error from None
-        finally:
-            self._budget = previous
-            self._path.clear()
-            self._delta_in_progress.clear()
-
-    def _note_exhaustion(
-        self, error: ResourceExhausted, partial_answers: Optional[set]
-    ) -> None:
-        if partial_answers is not None:
-            error.partial.merge_missing(answers=partial_answers)
-        self.metrics.counter("budget.exhausted").value += 1
-        if self._tracer.enabled:
-            self._tracer.event(
-                "budget",
-                error.reason,
-                args={"site": error.site, "steps": error.partial.steps},
-            )
+    def _clear_inflight(self) -> None:
+        # The goal path and the Delta progress markers: left behind by
+        # an interrupted query, they would poison cycle detection.
+        self._path.clear()
+        self._delta_in_progress.clear()
 
     # ------------------------------------------------------------------
     # Dispatch (the PROVE cascade)
@@ -303,15 +212,8 @@ class LinearStratifiedProver:
         self._plan_cache[db] = plan
         return plan
 
-    def _exists(self, premise: Premise, db: Database, domain) -> bool:
-        budget = self._budget
-        unbound = list(dict.fromkeys(premise.variables()))
-        for binding in ground_instances(unbound, domain):
-            if budget.enabled:
-                budget.poll("prove.exists")
-            if self._decide(premise.substitute(binding), db):
-                return True
-        return False
+    def _holds(self, premise: Premise, db: Database, domain) -> bool:
+        return self._decide(premise, db)
 
     def _decide(self, premise: Premise, db: Database) -> bool:
         """Decide a ground premise — the full PROVE cascade.

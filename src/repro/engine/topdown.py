@@ -37,15 +37,12 @@ that much.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from functools import partial
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
-from ..core.ast import Hypothetical, Negated, Positive, Premise, Rule, Rulebase
+from ..core.ast import Hypothetical, Positive, Premise, Rule, Rulebase
 from ..core.database import Database
-from ..core.errors import EvaluationError, ResourceExhausted
-from ..core.parser import as_premise, parse_premise
-from ..core.terms import Atom, Constant
+from ..core.terms import Atom
 from ..core.unify import Substitution, ground_instances, match
 from ..analysis.planner import annotate_plan, idb_aware_sizes
 from ..obs.metrics import MetricsRegistry
@@ -56,16 +53,17 @@ from .body import (
     nonlocal_variables,
     satisfy_body,
 )
-from .budget import NULL_BUDGET, cancelled_error, depth_error
+from .budget import NULL_BUDGET
 from .domain import Domain
+from .front import GoalDirectedEngine
 
 __all__ = ["TopDownEngine"]
 
-Query = Union[str, Atom, Premise]
 
-
-class TopDownEngine:
+class TopDownEngine(GoalDirectedEngine):
     """Goal-directed evaluator with tabling for hypothetical Datalog¬."""
+
+    _exists_site = "topdown.exists"
 
     def __init__(
         self,
@@ -107,120 +105,26 @@ class TopDownEngine:
         self._n_hypo = counter("topdown.hypothesis_expansions")
         self._g_max_depth = self.metrics.gauge("topdown.max_depth")
 
-    @property
-    def rulebase(self) -> Rulebase:
-        return self._rulebase
-
-    # ------------------------------------------------------------------
-    # Public API (mirrors the other engines)
-    # ------------------------------------------------------------------
-
-    def domain(self, db: Database) -> list[Constant]:
-        """``dom(R, DB)``."""
-        return list(self._dom(db))
-
-    def ask(self, db: Database, query: Query, *, budget=None) -> bool:
-        """Decide a query (variables existential; ``~A`` is not-exists).
-
-        ``budget`` overrides the engine-level budget for this call."""
-        premise = as_premise(query)
-        domain = self._dom(db)
-        with self._governed(budget):
-            if isinstance(premise, Negated):
-                return not self._exists(Positive(premise.atom), db, domain)
-            return self._exists(premise, db, domain)
-
-    def answers(
-        self, db: Database, pattern: Union[str, Atom], *, budget=None
-    ) -> set[tuple]:
-        """All payload tuples making the pattern provable.
-
-        On budget exhaustion the raised
-        :class:`~repro.core.errors.ResourceExhausted` carries the
-        tuples fully decided before the trip."""
-        if isinstance(pattern, str):
-            premise = parse_premise(pattern)
-            if not isinstance(premise, Positive):
-                raise EvaluationError("answers() needs a plain atom pattern")
-            pattern = premise.atom
-        domain = self._dom(db)
-        variables = list(dict.fromkeys(pattern.variables()))
-        results: set[tuple] = set()
-        with self._governed(budget, partial_answers=results):
-            for binding in ground_instances(variables, domain):
-                if self._decide(pattern.substitute(binding), db, domain):
-                    results.add(tuple(binding[var].value for var in variables))  # type: ignore[union-attr]
-        return results
-
     def clear_caches(self) -> None:
         self._true.clear()
         self._false.clear()
         self._size_oracles.clear()
         self._order_cache.clear()
 
-    @contextmanager
-    def _governed(self, budget, partial_answers: Optional[set] = None):
-        """Activate a budget for one query; keep the tables sound.
-
-        Mirrors the PROVE cascade's discipline: interrupts and
-        recursion overflows become :class:`ResourceExhausted` with
-        partial answers attached, and the in-flight goal path is
-        cleared on every exit so an aborted search cannot poison cycle
-        detection for later queries (the proven/refuted tables only
-        ever receive fully decided goals, so they stay valid).
-        """
-        previous = self._budget
-        active = budget if budget is not None else previous
-        active.begin()
-        self._budget = active
-        try:
-            yield active
-        except ResourceExhausted as error:
-            self._note_exhaustion(error, partial_answers)
-            raise
-        except KeyboardInterrupt:
-            error = cancelled_error(active)
-            self._note_exhaustion(error, partial_answers)
-            raise error from None
-        except RecursionError:
-            error = depth_error(active)
-            self._note_exhaustion(error, partial_answers)
-            raise error from None
-        finally:
-            self._budget = previous
-            self._path.clear()
-
-    def _note_exhaustion(
-        self, error: ResourceExhausted, partial_answers: Optional[set]
-    ) -> None:
-        if partial_answers is not None:
-            error.partial.merge_missing(answers=partial_answers)
-        self.metrics.counter("budget.exhausted").value += 1
-        if self._tracer.enabled:
-            self._tracer.event(
-                "budget",
-                error.reason,
-                args={"site": error.site, "steps": error.partial.steps},
-            )
+    def _clear_inflight(self) -> None:
+        # The goal path: left behind by an interrupted query, it would
+        # poison cycle detection.
+        self._path.clear()
 
     # ------------------------------------------------------------------
     # The search
     # ------------------------------------------------------------------
 
-    def _exists(self, premise: Premise, db: Database, domain) -> bool:
-        budget = self._budget
-        unbound = list(dict.fromkeys(premise.variables()))
-        for binding in ground_instances(unbound, domain):
-            if budget.enabled:
-                budget.poll("topdown.exists")
-            grounded = premise.substitute(binding)
-            if isinstance(grounded, Hypothetical):
-                held = self._expand_hypothetical(db, domain, grounded, {})
-                if next(held, None) is not None:
-                    return True
-            elif self._decide(grounded.atom, db, domain):
-                return True
-        return False
+    def _holds(self, premise: Premise, db: Database, domain) -> bool:
+        if isinstance(premise, Hypothetical):
+            held = self._expand_hypothetical(db, domain, premise, {})
+            return next(held, None) is not None
+        return self._decide(premise.atom, db, domain)
 
     def _decide(self, goal: Atom, db: Database, domain) -> bool:
         """Is the ground atom derivable at ``db``?"""

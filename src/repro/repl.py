@@ -22,7 +22,6 @@ The loop accepts three kinds of input:
       :unwatch NAME     drop a standing query (names are w1, w2, ...)
       :classify         Theorem 1 classification
       :stratify         print the linear stratification
-      :lint             hygiene findings (legacy codes)
       :check [FORMAT]   full diagnostics; FORMAT: text | json | sarif
       :engine NAME      auto | prove | topdown | model
       :limits [SPEC]    resource limits for queries; SPEC is
@@ -79,7 +78,6 @@ import sys
 from typing import Optional
 
 from .analysis.classify import classify
-from .analysis.lint import lint
 from .analysis.stratify import linear_stratification
 from .core.ast import Rulebase
 from .core.database import Database
@@ -569,9 +567,6 @@ class Repl:
             return str(classify(self._rulebase))
         if name == "stratify":
             return format_stratification(linear_stratification(self._rulebase))
-        if name == "lint":
-            findings = lint(self._rulebase)
-            return "\n".join(str(f) for f in findings) if findings else "no findings"
         if name == "check":
             from .analysis.diagnostics import (
                 check,

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.bench.workloads import hamiltonian_outlasting
 from repro.core.database import Database
 from repro.core.errors import ResourceExhausted
 from repro.core.parser import parse_program
@@ -26,6 +27,7 @@ from repro.engine.budget import (
     depth_error,
 )
 from repro.engine.model import PerfectModelEngine
+from repro.engine.proofs import Explainer
 from repro.engine.prove import LinearStratifiedProver
 from repro.engine.query import Session
 from repro.engine.topdown import TopDownEngine
@@ -265,16 +267,14 @@ class TestEntryPoints:
 
     def test_deadline_exhaustion_latency(self):
         # Acceptance: the raise lands within 1.2x the deadline.  The
-        # instance must outlast the deadline unbudgeted: complete-9
-        # takes ~0.4 s on a 2-vCPU VM (complete-7 finishes in ~0.045 s).
+        # instance is the smallest complete graph whose unbudgeted run
+        # outlasts the deadline 4x, measured here, so it keeps raising
+        # as the engine gets faster.
         import time
 
-        engine = PerfectModelEngine(hamiltonian_rulebase())
-        db = graph_db(
-            [f"v{i}" for i in range(9)],
-            [(f"v{i}", f"v{j}") for i in range(9) for j in range(9) if i != j],
-        )
         deadline = 0.05
+        rulebase, db = hamiltonian_outlasting(PerfectModelEngine, 4 * deadline)
+        engine = PerfectModelEngine(rulebase)
         start = time.monotonic()
         with pytest.raises(ResourceExhausted) as exc:
             engine.ask(db, "yes", budget=Budget(timeout=deadline))
@@ -291,6 +291,80 @@ class TestEntryPoints:
         with pytest.raises(ResourceExhausted) as exc:
             engine.ask(self.db, "yes", budget=budget)
         assert exc.value.reason == "cancelled"
+
+
+# ----------------------------------------------------------------------
+# A real interrupt inside an evaluation, on every engine
+# ----------------------------------------------------------------------
+
+
+class InterruptAt(Budget):
+    """A limitless budget whose ``k``-th charge raises
+    ``KeyboardInterrupt``: Ctrl-C landing inside an evaluation."""
+
+    def __init__(self, k):
+        super().__init__()
+        self.left = k
+
+    def charge(self, site, amount=1):
+        self.left -= 1
+        if self.left == 0:
+            raise KeyboardInterrupt
+        super().charge(site, amount)
+
+
+def _model_call(engine, db, budget=None):
+    return engine.model(db, budget=budget)
+
+
+def _answers_call(engine, db, budget=None):
+    return engine.answers(db, "path(X)", budget=budget)
+
+
+def _explain_call(engine, db, budget=None):
+    return engine.explain(db, "yes", budget=budget)
+
+
+GOVERNED_CALLS = {
+    "model": (PerfectModelEngine, _model_call),
+    "prove": (LinearStratifiedProver, _answers_call),
+    "topdown": (TopDownEngine, _answers_call),
+    "explain": (Explainer, _explain_call),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOVERNED_CALLS))
+def test_interrupt_mid_evaluation_is_a_clean_cancellation(name):
+    """A ``KeyboardInterrupt`` halfway through a call becomes
+    ``ResourceExhausted(reason="cancelled")`` carrying the engine's
+    sound partial result, is counted once in ``budget.exhausted``, and
+    leaves the engine answering its next query as a fresh one would."""
+    factory, call = GOVERNED_CALLS[name]
+    rb = hamiltonian_rulebase()
+    db = graph_db(
+        ["a", "b", "c", "d"],
+        [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("b", "d")],
+    )
+    full = call(factory(rb), db)
+    counting = InterruptAt(0)
+    call(factory(rb), db, counting)
+    charges = -counting.left
+    assert charges >= 2
+
+    engine = factory(rb)
+    with pytest.raises(ResourceExhausted) as exc:
+        call(engine, db, InterruptAt(charges // 2))
+    error = exc.value
+    assert error.reason == "cancelled"
+    partial = error.partial
+    if name == "model":
+        assert partial.atoms is not None and partial.atoms <= full
+        assert partial.strata_completed is not None
+    elif name in ("prove", "topdown"):
+        assert partial.answers is not None and partial.answers <= full
+    metrics = engine._engine.metrics if name == "explain" else engine.metrics
+    assert metrics.counter("budget.exhausted").value == 1
+    assert call(engine, db) == full
 
 
 # ----------------------------------------------------------------------

@@ -104,26 +104,6 @@ class TestCheckCommand:
         assert "p(X) :- marker." in capsys.readouterr().out
 
 
-class TestLintFormats:
-    def test_lint_json(self, write, capsys):
-        assert main(["lint", write("u.dl", UNSAFE), "--format", "json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert any(entry["code"] == "unsafe-head" for entry in payload)
-
-    def test_lint_sarif(self, write, capsys):
-        assert main(["lint", write("u.dl", UNSAFE), "--format", "sarif"]) == 1
-        log = json.loads(capsys.readouterr().out)
-        assert log["version"] == "2.1.0"
-
-    def test_lint_text_hides_rule_unless_verbose(self, write, capsys):
-        main(["lint", write("u.dl", UNSAFE)])
-        plain = capsys.readouterr().out
-        assert "p(X) :- marker." not in plain
-        main(["lint", write("u.dl", UNSAFE), "--verbose"])
-        verbose = capsys.readouterr().out
-        assert "p(X) :- marker." in verbose
-
-
 class TestReplCheck:
     def test_check_text(self):
         repl = Repl()

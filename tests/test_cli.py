@@ -99,19 +99,6 @@ class TestGraph:
         assert '"yes" -> "path" [style=dotted, label="[add]"];' in out
 
 
-class TestLint:
-    def test_findings_printed(self, rules_file, capsys):
-        code = main(["lint", rules_file])
-        out = capsys.readouterr().out
-        assert "unsafe-head" in out  # path(X) :- ~select(Y).
-        assert code == 1  # warnings present
-
-    def test_clean_rulebase(self, tmp_path, capsys):
-        path = tmp_path / "clean.dl"
-        path.write_text("p(X) :- q(X).")
-        assert main(["lint", str(path)]) == 0
-
-
 class TestExplain:
     def test_prints_derivation(self, rules_file, db_file, capsys):
         assert main(["explain", rules_file, "yes", "-d", db_file]) == 0

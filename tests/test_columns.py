@@ -17,9 +17,6 @@ from repro.core.terms import atom
 def test_columnar_relation_uniform_rows():
     relation = ColumnarRelation([(1, 2), (3, 4), (5, 2)])
     assert relation.uniform == 2
-    assert relation.columns is not None
-    assert list(relation.columns[0]) == [1, 3, 5]
-    assert list(relation.columns[1]) == [2, 4, 2]
     assert relation.rowset == {(1, 2), (3, 4), (5, 2)}
     assert sorted(relation.tuples_for(2)) == [(1, 2), (3, 4), (5, 2)]
     assert relation.tuples_for(3) == ()
@@ -29,10 +26,9 @@ def test_columnar_relation_uniform_rows():
 
 
 def test_columnar_relation_ragged_rows():
-    """Mixed arities: no columns, per-arity filtering still exact."""
+    """Mixed arities: per-arity filtering still exact."""
     relation = ColumnarRelation([(1,), (2, 3), (4, 5)])
     assert relation.uniform is None
-    assert relation.columns is None
     assert relation.tuples_for(1) == [(1,)]
     assert sorted(relation.tuples_for(2)) == [(2, 3), (4, 5)]
     assert relation.index_for(1, 0)[1] == [(1,)]

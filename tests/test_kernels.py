@@ -222,7 +222,7 @@ def test_memoized_join_orders_equal_fresh_plans():
         ]
         engine.ask(graph_db(nodes, edges), "yes")
     program = engine._kernel_program
-    plans = {**program._plans_previous, **program._plans}
+    plans = {**program._plans.previous, **program._plans.current}
     assert plans and program.cached_plans == len(plans)
     for (rule_id, sizes, domain_size), (ordered, order_key) in plans.items():
         spec = program._specs[rule_id]

@@ -101,10 +101,6 @@ class TestCommands:
         repl.feed("p :- p[add: h].")
         assert "Sigma_1" in repl.feed(":stratify")
 
-    def test_lint(self, repl):
-        repl.feed("p(X) :- marker.")
-        assert "unsafe-head" in repl.feed(":lint")
-
     def test_engine_switching(self, repl):
         repl.feed("p :- q.")
         assert repl.feed(":engine topdown") == "engine: topdown"
