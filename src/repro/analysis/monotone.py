@@ -26,15 +26,27 @@ topological order of :func:`~repro.analysis.stratify.negation_strata`,
 everything they can read) are negation-free and deletion-free.
 Because the strata are listed bottom-up, those strata form a *prefix*
 of the list; :func:`monotone_layer_prefix` measures it.
+
+``PROVE_Delta`` seeds a segment's model at ``DB' ⊇ DB`` from its model
+at ``DB`` under a narrower rule, :func:`positive_layer_prefix`: its
+premises over lower segments are decided by an oracle, not read from
+the closure, so a seeded closure could not see them change.  Both
+seeds miss the atoms a rule with an unbound head variable derives for
+a constant new to the domain (:func:`has_unbound_head`).
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
-from ..core.ast import Hypothetical, Negated, Rule, Rulebase
+from ..core.ast import Hypothetical, Negated, Positive, Rule, Rulebase
 
-__all__ = ["is_add_monotone", "monotone_layer_prefix"]
+__all__ = [
+    "has_unbound_head",
+    "is_add_monotone",
+    "monotone_layer_prefix",
+    "positive_layer_prefix",
+]
 
 
 def is_add_monotone(rulebase: Rulebase) -> bool:
@@ -72,3 +84,52 @@ def monotone_layer_prefix(layer_rules: Sequence[Sequence[Rule]]) -> int:
             break
         prefix += 1
     return prefix
+
+
+def positive_layer_prefix(
+    layer_rules: Sequence[Sequence[Rule]], is_edb: Callable[[str], bool]
+) -> int:
+    """How many leading layers of a ``PROVE_Delta`` segment can close
+    from the segment's model at a smaller database.
+
+    ``layer_rules`` is the segment's per-layer rule partition,
+    bottom-up.  A layer is in the prefix iff every premise of every
+    rule in it is positive and reads an EDB predicate (``is_edb``) or
+    a predicate of this or an earlier prefix layer.  Those layers are
+    positive Datalog over the database: every atom derived at ``DB``
+    is still derived at ``DB' ⊇ DB``, and every new atom has a
+    derivation through a fact of ``DB' − DB``, which a closure seeded
+    with that difference finds.  A negation, a hypothetical premise or
+    a read of a lower segment ends the prefix: the seed's delta holds
+    only the added facts, and cannot show an atom ceasing to hold, or
+    a lower segment's oracle answering differently at ``DB'``.
+    """
+    derived: set[str] = set()
+    prefix = 0
+    for rules in layer_rules:
+        derived.update(item.head.predicate for item in rules)
+        for item in rules:
+            for premise in item.body:
+                if not isinstance(premise, Positive):
+                    return prefix
+                predicate = premise.atom.predicate
+                if predicate not in derived and not is_edb(predicate):
+                    return prefix
+        prefix += 1
+    return prefix
+
+
+def has_unbound_head(rules: Iterable[Rule]) -> bool:
+    """Does some rule have a head variable that no premise mentions?
+
+    Such a rule derives one atom per domain constant, and a constant
+    new to the domain meets no delta: a closure seeded from a model at
+    a smaller database finds those atoms only while ``dom(R, DB)``
+    stays the same.
+    """
+    return any(
+        not set(item.head.variables()).issubset(
+            var for premise in item.body for var in premise.variables()
+        )
+        for item in rules
+    )

@@ -117,8 +117,25 @@ def nonlocal_variables(item: Rule) -> tuple[Variable, ...]:
     return tuple(result)
 
 
+def _pinned(
+    positives: Sequence[Positive],
+    bound: Iterable[Variable],
+    first: Optional[Positive],
+) -> tuple[list[Positive], list[Positive], set[Variable]]:
+    """A planner's start: the order so far, the premises left and the
+    variables bound.  ``first``, when given, is one of ``positives``
+    (matched by identity) that is joined before all the others."""
+    bound_vars = set(bound)
+    if first is None:
+        return [], list(positives), bound_vars
+    bound_vars.update(first.atom.variables())
+    return [first], [item for item in positives if item is not first], bound_vars
+
+
 def greedy_positive_order(
-    positives: Sequence[Positive], bound: Iterable[Variable]
+    positives: Sequence[Positive],
+    bound: Iterable[Variable],
+    first: Optional[Positive] = None,
 ) -> list[Positive]:
     """Most-bound-first join order for positive premises.
 
@@ -126,10 +143,10 @@ def greedy_positive_order(
     bound (ties broken by textual order), then treats its variables as
     bound.  Classic greedy join planning: it never changes the set of
     satisfying substitutions, only how fast the search narrows.
+    ``first`` pins one premise to the front (see
+    :func:`~repro.engine.body.satisfy_body`).
     """
-    bound_vars = set(bound)
-    remaining = list(positives)
-    ordered: list[Positive] = []
+    ordered, remaining, bound_vars = _pinned(positives, bound, first)
     while remaining:
         best_index = min(
             range(len(remaining)),
@@ -229,6 +246,7 @@ def cost_aware_positive_order(
     bound: Iterable[Variable],
     sizes: SizeOracle,
     domain_size: int,
+    first: Optional[Positive] = None,
 ) -> list[Positive]:
     """Cheapest-first join order using binding-selectivity estimates.
 
@@ -238,11 +256,12 @@ def cost_aware_positive_order(
     variables as bound.  Like the greedy planner this is
     semantics-neutral; unlike it, a 2-row guard relation beats a
     10000-row one even when both would bind one new variable.
+    ``first`` pins one premise to the front: the sizes are per
+    predicate, so they cannot tell a delta-restricted premise from the
+    other premises over its predicate.
     """
     lookup = _size_lookup(sizes)
-    bound_vars = set(bound)
-    remaining = list(positives)
-    ordered: list[Positive] = []
+    ordered, remaining, bound_vars = _pinned(positives, bound, first)
     while remaining:
 
         def priority(position: int) -> tuple[float, int, int]:

@@ -39,7 +39,7 @@ imports keep working.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from ..analysis.planner import (
     cost_aware_positive_order,
@@ -67,7 +67,9 @@ __all__ = [
 HypotheticalExpander = Callable[[Hypothetical, Substitution], Iterator[Substitution]]
 NegatedTest = Callable[[Atom, Substitution], bool]
 PositiveExpander = Callable[[Atom, Substitution], Iterator[Substitution]]
-PositivePlanner = Callable[[Sequence[Positive], Iterable[Variable]], Sequence[Positive]]
+#: ``plan(positives, bound)``, or ``plan(positives, bound, first)`` when
+#: one premise is pinned to the front (see :func:`satisfy_body`).
+PositivePlanner = Callable[..., Sequence[Positive]]
 
 
 def satisfy_body(
@@ -81,6 +83,7 @@ def satisfy_body(
     domain: Sequence[Constant] = (),
     optimize: bool = False,
     plan: Optional[PositivePlanner] = None,
+    first: Optional[Positive] = None,
 ) -> Iterator[Substitution]:
     """Enumerate substitutions under which every premise holds.
 
@@ -98,20 +101,31 @@ def satisfy_body(
     ``plan`` reorders the positive premises given the variables bound
     on entry (the engines pass a cost-aware planner closed over live
     relation statistics); ``optimize`` without a ``plan`` falls back to
-    :func:`greedy_positive_order`.  The order is fixed when this is
-    called and the returned iterator matches lazily, one generator frame
-    per premise: the top-down engine recurses through it once per
-    hypothetical level, so its frames bound how deep that search goes.
+    :func:`greedy_positive_order`.  ``first``, one of the body's
+    positive premises (by identity), is joined before all the others,
+    and a ``plan`` is then called as ``plan(positives, bound, first)``:
+    a semi-naive round passes the premise it restricts to the delta, so
+    that round's enumeration is bounded by the delta.  The order is
+    fixed when this is called and the returned iterator matches lazily,
+    one generator frame per premise: the top-down engine recurses
+    through it once per hypothetical level, so its frames bound how
+    deep that search goes.
     """
     ordered = ordered_premises(body)
-    if plan is not None or optimize:
+    if plan is not None or optimize or first is not None:
         positives = [item for item in ordered if isinstance(item, Positive)]
         rest = [item for item in ordered if not isinstance(item, Positive)]
         seed = binding.keys() if binding else ()
         if plan is not None:
-            ordered = list(plan(positives, seed)) + rest
+            if first is None:
+                positives = plan(positives, seed)
+            else:
+                positives = plan(positives, seed, first)
+        elif optimize:
+            positives = greedy_positive_order(positives, seed, first)
         else:
-            ordered = list(greedy_positive_order(positives, seed)) + rest
+            positives = [first, *(item for item in positives if item is not first)]
+        ordered = list(positives) + rest
     first_negation = next(
         (index for index, premise in enumerate(ordered)
          if isinstance(premise, Negated)),

@@ -55,6 +55,10 @@ re-evaluation.  A :class:`Layer`'s ``refire_full`` lists rules to
 evaluate in full on that first round regardless; the model engine
 names its hypothetical-containing rules, whose recursion-case truth
 may shift between databases in ways no delta can witness.
+:func:`seed_layers` starts such a closure from a held model: both
+engines seed through it (the model engine from its parent or lineage
+model, ``PROVE_Delta`` from the segment's model at a smaller
+database).
 
 The same seeded discipline also runs *in reverse*: the deletion
 propagator (:mod:`repro.engine.dred`) uses :func:`rule_firings` with
@@ -71,7 +75,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ..core.ast import Hypothetical, Negated, Positive, Premise, Rule
 from ..core.errors import EvaluationError
-from ..core.terms import Atom, Constant
+from ..core.terms import Atom, Constant, Term
 from ..core.unify import Substitution, ground_instances
 from ..obs.metrics import Counter, Histogram
 from ..obs.trace import NULL_TRACER, Tracer
@@ -91,6 +95,7 @@ __all__ = [
     "close_layer",
     "delta_sources",
     "rule_firings",
+    "seed_layers",
 ]
 
 DeltaHypotheticalExpander = Callable[
@@ -152,10 +157,15 @@ def rule_firings(
 
     ``target`` restricts one premise (matched by identity) to ``delta``
     — the semi-naive discipline.  A :class:`~repro.core.ast.Positive`
-    target matches the delta instead of the full interpretation; a
-    hypothetical target goes through ``hypothetical_delta`` (the
-    collapse-case-only expander).  ``target=None`` evaluates the body
-    in full.  Unbound head variables are grounded over ``domain``
+    target matches the delta instead of the full interpretation, and is
+    joined first, then the rest in ``plan``'s order: the delta binds its
+    variables, so the round enumerates what the delta reaches rather
+    than what the whole relation does (a planner sizes premises per
+    predicate and cannot tell the target from the other premises over
+    its predicate).  A hypothetical target goes through
+    ``hypothetical_delta`` (the collapse-case-only expander).
+    ``target=None`` evaluates the body in full.  Unbound head
+    variables are grounded over ``domain``
     (Definition 3); ``record``, when given, is called as
     ``record(rule, head, binding)`` once per firing before
     deduplication.
@@ -166,10 +176,12 @@ def rule_firings(
     rules through this one function, so incremental addition and
     incremental deletion cannot drift apart on firing semantics.
     """
+    first = None
     if target is None:
         pos_cb, hyp_cb = positive, hypothetical
     elif isinstance(target, Positive):
         target_atom = target.atom
+        first = target
 
         def pos_cb(pattern, current):
             if pattern is target_atom:
@@ -194,6 +206,7 @@ def rule_firings(
         domain=domain,
         optimize=optimize,
         plan=plan,
+        first=first,
     )
     if record is None:
         for binding in bindings:
@@ -215,6 +228,28 @@ def rule_firings(
             head = item.head.substitute(binding)
             record(item, head, binding)
             yield head
+
+
+def seed_layers(
+    interp: Interpretation,
+    predicates: Iterable[str],
+    relation: Callable[[str], Iterable[tuple[Term, ...]]],
+    additions: Iterable[Atom],
+) -> tuple[Interpretation, int]:
+    """Start seeded closures from a held model at a smaller database.
+
+    Copies the held model's rows of ``predicates`` (those the seeded
+    strata derive; ``relation`` reads them) into ``interp``, and
+    returns the running delta, which starts as ``additions`` (the
+    facts the new database adds), with the number of rows copied.
+    Each seeded stratum closes with the running delta as its
+    ``seed_delta``, and adds what it derives to it (``into``) for the
+    seeded strata above.
+    """
+    copied = 0
+    for predicate in predicates:
+        copied += interp.add_rows(predicate, relation(predicate))
+    return Interpretation(additions), copied
 
 
 class Layer:

@@ -170,17 +170,6 @@ def _no_hypothetical(premise, current):
     )
 
 
-def _delta_first(target: Positive):
-    """A join plan putting the delta-restricted premise first, so the
-    premises after it are probed with the deleted atom's constants
-    bound instead of scanning (or indexing) the old model."""
-
-    def plan(positives, bound):
-        return [target] + [item for item in positives if item is not target]
-
-    return plan
-
-
 def patch_stratum(
     rules: tuple[Rule, ...],
     predicates: frozenset[str],
@@ -219,7 +208,7 @@ def patch_stratum(
                 item,
                 set(item.head.variables()),
                 nonlocal_variables(item),
-                [(target, _delta_first(target)) for target in delta_sources(item)],
+                delta_sources(item),
             )
         )
     relevant = reads | predicates
@@ -250,7 +239,7 @@ def patch_stratum(
             budget.poll("dred.round")
         candidates: list[Atom] = []
         for item, head_variables, guards, sources in prep:
-            for target, first in sources:
+            for target in sources:
                 if not frontier.count(target.goal.predicate):
                     continue
                 for head in rule_firings(
@@ -263,7 +252,6 @@ def patch_stratum(
                     hypothetical=_no_hypothetical,
                     negated=_no_negated,
                     domain=domain,
-                    plan=first,
                 ):
                     if n_overdelete is not None:
                         n_overdelete.value += 1

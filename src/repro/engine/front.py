@@ -16,20 +16,23 @@ interrupted call attaches (:meth:`~GovernedEngine._attach_partial`).
 :class:`GoalDirectedEngine` adds the query entry points of the two
 goal-directed engines, which ground a query over ``dom(R, DB)`` and
 decide each ground premise (:meth:`~GoalDirectedEngine._holds`); the
-model engine answers its queries from the model instead.
+model engine answers its queries from the model instead.  An
+``answers`` pattern is enumerated through
+:meth:`~GoalDirectedEngine._pattern_bindings`: the top-down engine
+decides each grounding, PROVE reads its stored facts and models.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from ..core.ast import Negated, Positive, Premise, Rulebase
 from ..core.database import Database
 from ..core.errors import EvaluationError, ResourceExhausted
 from ..core.parser import as_premise, parse_premise
 from ..core.terms import Atom, Constant
-from ..core.unify import ground_instances
+from ..core.unify import Substitution, ground_instances
 from .budget import cancelled_error, depth_error
 
 __all__ = ["GoalDirectedEngine", "GovernedEngine", "Query"]
@@ -131,6 +134,7 @@ class GoalDirectedEngine(GovernedEngine):
         """
         premise = as_premise(query)
         domain = self._dom(db)
+        self._begin_call(db)
         with self._governed(budget):
             if isinstance(premise, Negated):
                 return not self._exists(Positive(premise.atom), db, domain)
@@ -153,11 +157,27 @@ class GoalDirectedEngine(GovernedEngine):
         domain = self._dom(db)
         variables = list(dict.fromkeys(pattern.variables()))
         results: set[tuple] = set()
+        self._begin_call(db)
         with self._governed(budget, partial_answers=results):
-            for binding in ground_instances(variables, domain):
-                if self._holds(Positive(pattern.substitute(binding)), db, domain):
-                    results.add(tuple(binding[var].value for var in variables))  # type: ignore[union-attr]
+            for binding in self._pattern_bindings(pattern, db, domain):
+                results.add(tuple(binding[var].value for var in variables))  # type: ignore[union-attr]
         return results
+
+    def _begin_call(self, db: Database) -> None:
+        """Note the database a public call answers at; by default
+        nothing is kept."""
+
+    def _pattern_bindings(
+        self, pattern: Atom, db: Database, domain: Sequence[Constant]
+    ) -> Iterator[Substitution]:
+        """The bindings of the pattern's variables under which it holds
+        at ``db``, each as soon as it is established (an interrupted
+        ``answers`` keeps those); by default every grounding over
+        ``domain``, decided by :meth:`_holds`."""
+        variables = list(dict.fromkeys(pattern.variables()))
+        for binding in ground_instances(variables, domain):
+            if self._holds(Positive(pattern.substitute(binding)), db, domain):
+                yield binding
 
     def _exists(self, premise: Premise, db: Database, domain) -> bool:
         """Does some grounding of a positive or hypothetical premise

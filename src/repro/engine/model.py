@@ -134,7 +134,7 @@ from ..obs.trace import NULL_TRACER, Tracer
 from ..testing import failpoints as _failpoints
 from .body import cost_aware_positive_order, join_mode
 from .budget import NULL_BUDGET
-from .delta import Layer, LayerInstruments, close_layer
+from .delta import Layer, LayerInstruments, close_layer, seed_layers
 from .domain import Domain
 from .dred import DredDriver, DredSource
 from .front import GovernedEngine, Query
@@ -282,7 +282,7 @@ class PerfectModelEngine(GovernedEngine):
         demand: str = "off",
         provenance: bool = False,
     ) -> None:
-        from ..analysis.monotone import monotone_layer_prefix
+        from ..analysis.monotone import has_unbound_head, monotone_layer_prefix
         from ..analysis.stratify import negation_strata
 
         if strategy not in ("naive", "seminaive"):
@@ -330,15 +330,11 @@ class PerfectModelEngine(GovernedEngine):
             for rules in self._layer_rules
         ]
         self._seed_prefix = monotone_layer_prefix(self._layer_rules)
-        # A seeded closure only finds derivations that use a new atom.
-        # A prefix rule whose head has a variable its body does not bind
-        # derives one atom per domain constant, and a constant new to
-        # the domain meets no delta: such a prefix is seeded by lineage
+        # A seeded closure only finds derivations that use a new atom,
+        # so a prefix with an unbound head variable is seeded by lineage
         # only while the domain stays the same.
-        self._seed_needs_domain = any(
-            not set(item.head.variables()).issubset(
-                var for premise in item.body for var in premise.variables()
-            )
+        self._seed_needs_domain = has_unbound_head(
+            item
             for rules in self._layer_rules[: self._seed_prefix]
             for item in rules
         )
@@ -1237,17 +1233,19 @@ class PerfectModelEngine(GovernedEngine):
         fresh = None
         if parent is not None:
             seed_limit = min(parent.closed_layers, self._seed_prefix)
-            seeded_atoms = 0
-            for k in range(seed_limit):
-                if not self._layer_rules[k]:
-                    continue  # EDB only: already in interp's base
-                for predicate in self._layer_predicates[k]:
-                    seeded_atoms += interp.add_rows(
-                        predicate, parent.relation(predicate)
-                    )
-            fresh = Interpretation()
-            for item in parent.additions:
-                fresh.add(item)
+            fresh, seeded_atoms = seed_layers(
+                interp,
+                (
+                    predicate
+                    for k in range(seed_limit)
+                    # A stratum without rules holds EDB facts only,
+                    # already in interp's base.
+                    if self._layer_rules[k]
+                    for predicate in self._layer_predicates[k]
+                ),
+                parent.relation,
+                parent.additions,
+            )
             self._n_seeded.value += 1
             self._h_atoms_seeded.observe(seeded_atoms)
         else:
@@ -1285,9 +1283,9 @@ class PerfectModelEngine(GovernedEngine):
         if self._join_mode == "cost":
             domain_size = len(domain)
 
-            def plan(positives, bound):
+            def plan(positives, bound, first=None):
                 return cost_aware_positive_order(
-                    positives, bound, interp.count, domain_size
+                    positives, bound, interp.count, domain_size, first
                 )
 
         n_negation = self._n_negation

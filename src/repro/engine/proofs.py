@@ -35,6 +35,8 @@ from ..core.errors import EvaluationError
 from ..core.parser import as_premise
 from ..core.terms import Atom, Constant
 from ..core.unify import Substitution, ground_instances, match
+from ..obs.metrics import MetricsRegistry
+from ..obs.trace import Tracer
 from .body import ordered_premises
 from .topdown import TopDownEngine
 
@@ -99,12 +101,24 @@ class Explainer:
     explainer walks them until one has subproofs for all its premises.
     One governed engine call covers the whole search, at the query's
     ``dom(R, DB)``, so the engine's memo tables prune failing branches
-    and explanation cost stays close to decision cost.
+    and explanation cost stays close to decision cost.  ``metrics`` and
+    ``tracer`` go to that engine, so its ``topdown.*`` work, a
+    ``budget.exhausted`` and the ``budget`` event land where the
+    caller reads them.
     """
 
-    def __init__(self, rulebase: Rulebase, *, budget=None) -> None:
+    def __init__(
+        self,
+        rulebase: Rulebase,
+        *,
+        budget=None,
+        metrics: Optional[MetricsRegistry] = None,
+        tracer: Optional[Tracer] = None,
+    ) -> None:
         self._rulebase = rulebase
-        self._engine = TopDownEngine(rulebase, budget=budget)
+        self._engine = TopDownEngine(
+            rulebase, budget=budget, metrics=metrics, tracer=tracer
+        )
 
     @property
     def rulebase(self) -> Rulebase:

@@ -28,6 +28,14 @@ This module realizes the cascade deterministically:
   negation layer of the segment is closed by the semi-naive loop the
   model engine runs (:func:`~repro.engine.delta.close_layer`), with
   premises over lower segments routed to the cascade.
+* a what-if ``A[add: B]`` asks for the same fixpoint at ``DB + {B}``.
+  When the segment's model is held at a database ``S ⊆ DB'`` (the
+  current or the previous public call's), the model at ``DB'`` starts
+  from it: the segment's positive layer prefix
+  (:func:`~repro.analysis.monotone.positive_layer_prefix`) copies
+  ``S``'s rows and closes on the added facts alone, and the layers
+  above close fresh.  It is the same least fixpoint, at the cost of
+  the change rather than of the database.
 
 The prover also keeps the counters needed by experiment E9: the number
 of sigma goals expanded bounds the length of the paper's "proof
@@ -39,6 +47,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence
 
+from ..analysis.monotone import has_unbound_head, positive_layer_prefix
 from ..analysis.stratify import (
     LinearStratification,
     linear_stratification,
@@ -59,7 +68,7 @@ from .body import (
     satisfy_body,
 )
 from .budget import NULL_BUDGET
-from .delta import Layer, LayerInstruments, close_layer
+from .delta import Layer, LayerInstruments, close_layer, seed_layers
 from .domain import Domain
 from .front import GoalDirectedEngine
 from .interpretation import Interpretation
@@ -80,7 +89,8 @@ class LinearStratifiedProver(GoalDirectedEngine):
         A precomputed stratification, if the caller already has one.
     memoize:
         Disable the proven/refuted goal caches and the delta-model
-        cache for the E13 ablation bench.
+        cache for the E13 ablation bench (and with the cache, seeding
+        a delta model from one held at a smaller database).
     budget:
         A :class:`~repro.engine.budget.Budget` charged throughout every
         query (``ask``/``answers`` also accept a per-call ``budget=``
@@ -115,9 +125,13 @@ class LinearStratifiedProver(GoalDirectedEngine):
         # Delta segments, split into their internal negation layers.
         # Each layer carries its closure prep (close_layer's Layer).
         self._delta_layers: dict[int, list[Layer]] = {}
-        for stratum in range(1, self._strat.k + 1):
-            delta_rules = self._strat.delta(stratum)
-            segment = Rulebase(delta_rules)
+        # Per stratum with a seedable layer prefix: its length, the
+        # predicates its layers derive, and whether a seed needs the
+        # same domain (see _seed_source).
+        self._seeding: dict[int, tuple[int, tuple[str, ...], bool]] = {}
+        strat = self._strat
+        for stratum in range(1, strat.k + 1):
+            segment = Rulebase(strat.delta(stratum))
             layers: list[Layer] = []
             for component in negation_strata(segment):
                 group = tuple(
@@ -128,10 +142,24 @@ class LinearStratifiedProver(GoalDirectedEngine):
                 if group:
                     layers.append(Layer(group, restricted=False))
             self._delta_layers[stratum] = layers
+            prefix = positive_layer_prefix(
+                [layer.rules for layer in layers],
+                lambda predicate: strat.segment_of(predicate) == 0,
+            )
+            if prefix:
+                seeded = [item for layer in layers[:prefix] for item in layer.rules]
+                self._seeding[stratum] = (
+                    prefix,
+                    tuple(dict.fromkeys(item.head.predicate for item in seeded)),
+                    has_unbound_head(seeded),
+                )
         # Caches.
         self._sigma_true: set[tuple[Atom, Database]] = set()
         self._sigma_false: set[tuple[Atom, Database]] = set()
         self._delta_cache: dict[tuple[int, Database], Interpretation] = {}
+        # The database of the current public call and the one before
+        # it: a Delta model may seed from the segment's model at either.
+        self._calls: tuple[Optional[Database], Optional[Database]] = (None, None)
         self._path: set[tuple[Atom, Database]] = set()
         self._cycle_events = 0
         self._delta_in_progress: set[tuple[int, Database]] = set()
@@ -143,6 +171,7 @@ class LinearStratifiedProver(GoalDirectedEngine):
         self._n_sigma_goals = counter("prove.sigma_goals")
         self._n_sigma_cache_hits = counter("prove.sigma_cache_hits")
         self._n_delta_models = counter("prove.delta_models")
+        self._n_delta_seeded = counter("prove.delta_seeded")
         self._n_delta_cache_hits = counter("prove.delta_cache_hits")
         self._n_cycles_cut = counter("prove.cycles_cut")
         self._n_plan_hits = counter("prove.plan_cache_hits")
@@ -172,6 +201,18 @@ class LinearStratifiedProver(GoalDirectedEngine):
         self._path.clear()
         self._delta_in_progress.clear()
 
+    def _begin_call(self, db: Database) -> None:
+        current = self._calls[0]
+        if db is not current:
+            self._calls = (db, current)
+
+    def _pattern_bindings(
+        self, pattern: Atom, db: Database, domain: Sequence[Constant]
+    ) -> Iterator[Substitution]:
+        # Read the stored facts and the Delta model (one lookup), or
+        # search the Sigma goals, instead of deciding every grounding.
+        return self._match_atom(pattern, {}, db, domain)
+
     # ------------------------------------------------------------------
     # Dispatch (the PROVE cascade)
     # ------------------------------------------------------------------
@@ -195,9 +236,9 @@ class LinearStratifiedProver(GoalDirectedEngine):
         domain_size = len(domain)
         trace = self._tracer
 
-        def plan(positives, bound):
+        def plan(positives, bound, first=None):
             order = cost_aware_positive_order(
-                positives, bound, sizes, domain_size
+                positives, bound, sizes, domain_size, first
             )
             if trace.enabled and order:
                 trace.event(
@@ -436,7 +477,9 @@ class LinearStratifiedProver(GoalDirectedEngine):
         """Perfect model of Delta_stratum at ``db`` (plus the db facts).
 
         Premises over predicates defined below the segment are decided
-        through the cascade — the paper's TEST0 oracle calls.
+        through the cascade — the paper's TEST0 oracle calls.  A model
+        the prover holds at a smaller database seeds the segment's
+        positive layer prefix (see :meth:`_seed_source`).
         """
         key = (stratum, db)
         cached = self._delta_cache.get(key)
@@ -456,6 +499,16 @@ class LinearStratifiedProver(GoalDirectedEngine):
         segment = 2 * stratum - 1
         own = self._strat.predicates_in_segment(segment)
         interp = Interpretation(db)
+        # ``fresh`` is the seeded layers' running delta: the facts
+        # ``db`` adds, then what the seeded layers derive beyond the
+        # held model.
+        seeded, fresh = 0, None
+        source = self._seed_source(stratum, db)
+        if source is not None:
+            held, additions = source
+            seeded, predicates, _ = self._seeding[stratum]
+            fresh, _ = seed_layers(interp, predicates, held.relation_rows, additions)
+            self._n_delta_seeded.value += 1
 
         def positive(pattern: Atom, current: Substitution) -> Iterator[Substitution]:
             if pattern.predicate in own:
@@ -475,13 +528,13 @@ class LinearStratifiedProver(GoalDirectedEngine):
 
         trace = self._tracer
         plan = self._cost_plan(db, domain)
-        delta_ctx = (
-            trace.span(
-                "delta", f"Delta_{stratum}", args={"db": len(db)}
-            )
-            if trace.enabled
-            else NULL_SPAN
-        )
+        if trace.enabled:
+            args = {"db": len(db)}
+            if seeded:
+                args["seeded"] = seeded
+            delta_ctx = trace.span("delta", f"Delta_{stratum}", args=args)
+        else:
+            delta_ctx = NULL_SPAN
         with delta_ctx:
             for layer_index, layer in enumerate(self._delta_layers[stratum]):
                 layer_ctx = (
@@ -506,8 +559,42 @@ class LinearStratifiedProver(GoalDirectedEngine):
                         instruments=self._delta_instruments,
                         tracer=trace,
                         budget=self._budget,
+                        seed_delta=fresh if layer_index < seeded else None,
+                        into=fresh if layer_index + 1 < seeded else None,
                     )
         self._delta_in_progress.discard(key)
         if self._memoize:
             self._delta_cache[key] = interp
         return interp
+
+    def _seed_source(
+        self, stratum: int, db: Database
+    ) -> Optional[tuple[Interpretation, tuple[Atom, ...]]]:
+        """A held Delta_stratum model the model at ``db`` can start
+        from, with the facts ``db`` adds to its database; or ``None``.
+
+        Only the current public call's database and the one before it
+        are tried (the model engine's lineage rule), and only models
+        the cache already holds: none is computed to seed from.  The
+        source database must be a subset of ``db``.  When a seeded rule
+        has an unbound head variable, ``db`` must also bring no
+        constant new to ``dom(R, DB)``.
+        """
+        seeding = self._seeding.get(stratum)
+        if seeding is None:
+            return None
+        for source in self._calls:
+            if source is None or source is db:
+                continue
+            held = self._delta_cache.get((stratum, source))
+            if held is None:
+                continue
+            removed, added = source.diff(db)
+            if removed:
+                continue
+            if seeding[2] and not (
+                db.constants() - source.constants() <= self._dom.rule_constants
+            ):
+                continue
+            return held, added
+        return None

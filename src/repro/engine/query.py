@@ -266,12 +266,18 @@ class Session:
     def explain(self, db: Database, query: Query, *, budget=None):
         """A :class:`~repro.engine.proofs.Proof` for a provable query,
         or ``None``.  Backed by a lazily created Explainer (shared
-        across calls so its caches persist); ``budget`` bounds the
-        proof search (docs/ROBUSTNESS.md)."""
+        across calls so its caches persist) that reports into this
+        session's metrics and tracer; ``budget`` bounds the proof
+        search (docs/ROBUSTNESS.md)."""
         if not hasattr(self, "_explainer"):
             from .proofs import Explainer
 
-            self._explainer = Explainer(self._rulebase, budget=self._budget)
+            self._explainer = Explainer(
+                self._rulebase,
+                budget=self._budget,
+                metrics=self._engine.metrics,
+                tracer=self._tracer,
+            )
         return self._explainer.explain(db, query, budget=budget)
 
     # -- provenance explanations (docs/OBSERVABILITY.md) ----------------

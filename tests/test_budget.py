@@ -32,6 +32,7 @@ from repro.engine.prove import LinearStratifiedProver
 from repro.engine.query import Session
 from repro.engine.topdown import TopDownEngine
 from repro.library import graph_db, hamiltonian_rulebase
+from repro.obs.metrics import MetricsRegistry
 
 SETTINGS = settings(
     max_examples=30,
@@ -351,7 +352,8 @@ def test_interrupt_mid_evaluation_is_a_clean_cancellation(name):
     charges = -counting.left
     assert charges >= 2
 
-    engine = factory(rb)
+    metrics = MetricsRegistry()
+    engine = factory(rb, metrics=metrics)
     with pytest.raises(ResourceExhausted) as exc:
         call(engine, db, InterruptAt(charges // 2))
     error = exc.value
@@ -362,7 +364,6 @@ def test_interrupt_mid_evaluation_is_a_clean_cancellation(name):
         assert partial.strata_completed is not None
     elif name in ("prove", "topdown"):
         assert partial.answers is not None and partial.answers <= full
-    metrics = engine._engine.metrics if name == "explain" else engine.metrics
     assert metrics.counter("budget.exhausted").value == 1
     assert call(engine, db) == full
 

@@ -7,6 +7,7 @@ from repro.core.errors import EvaluationError
 from repro.core.parser import parse_program, parse_rule
 from repro.core.terms import atom
 from repro.engine.proofs import Explainer, Proof, format_proof, verify_proof
+from repro.engine.query import Session
 from repro.library import (
     addition_chain_rulebase,
     graduation_db,
@@ -16,6 +17,8 @@ from repro.library import (
     parity_db,
     parity_rulebase,
 )
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import Tracer
 
 
 class TestExplain:
@@ -97,6 +100,16 @@ class TestExplain:
         assert verify_proof(rb, proof)
         # q's proof must bottom out at the base fact, not loop.
         assert proof.depth() <= 4
+
+    def test_session_explanation_reports_into_its_registry(self):
+        registry = MetricsRegistry()
+        tracer = Tracer()
+        session = Session(graduation_rulebase(), metrics=registry, tracer=tracer)
+        assert session.engine_name == "prove"
+        proof = session.explain(graduation_db(), "within_one(tony)")
+        assert proof is not None and verify_proof(graduation_rulebase(), proof)
+        assert registry.counter("topdown.goals").value > 0
+        assert any(child.kind == "goal" for child in tracer.root.children)
 
 
 class TestVerify:
