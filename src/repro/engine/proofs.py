@@ -11,10 +11,9 @@ applications that motivated hypothetical rules in the first place) a
   by failure has no finite constructive witness — but are recorded and
   re-checked by the verifier.
 * :class:`Explainer` — reconstructs a proof for any provable goal
-  with the top-down search itself: a :class:`TopDownEngine` decides
-  each goal and enumerates each rule's body groundings, and the
-  explainer keeps the first grounding whose premises all have
-  subproofs.
+  from the top-down search itself: a :class:`TopDownEngine` decides
+  the query once, and each proven goal's table entry (the rule and
+  binding that proved it) becomes a proof node.
 * :func:`verify_proof` — an *independent* checker: it validates every
   node against Definition 3 without consulting the explainer (negated
   premises are re-evaluated with a fresh engine).
@@ -27,17 +26,18 @@ engines and is exercised in ``tests/test_proofs.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from ..core.ast import Hypothetical, Negated, Positive, Premise, Rule, Rulebase
 from ..core.database import Database
 from ..core.errors import EvaluationError
 from ..core.parser import as_premise
-from ..core.terms import Atom, Constant
-from ..core.unify import Substitution, ground_instances, match
+from ..core.terms import Atom
+from ..core.unify import Substitution, match
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Tracer
 from .body import ordered_premises
+from .front import premise_db
 from .topdown import TopDownEngine
 
 __all__ = ["Proof", "PremiseStep", "Explainer", "verify_proof", "format_proof"]
@@ -95,16 +95,14 @@ class Proof:
 class Explainer:
     """Builds :class:`Proof` trees for provable goals.
 
-    The proof search is the top-down engine's own.
-    :class:`TopDownEngine` decides each goal and enumerates a rule's
-    body groundings; a decision takes the first grounding, and the
-    explainer walks them until one has subproofs for all its premises.
-    One governed engine call covers the whole search, at the query's
-    ``dom(R, DB)``, so the engine's memo tables prune failing branches
-    and explanation cost stays close to decision cost.  ``metrics`` and
-    ``tracer`` go to that engine, so its ``topdown.*`` work, a
-    ``budget.exhausted`` and the ``budget`` event land where the
-    caller reads them.
+    The proof search is the top-down engine's own.  One governed call
+    of :class:`TopDownEngine` decides the query, at the query's
+    ``dom(R, DB)``, exactly as ``ask`` would; the proof is then read
+    from the engine's proven table, where each goal keeps the rule and
+    binding that proved it.  Explaining therefore costs what deciding
+    costs.  ``metrics`` and ``tracer`` go to that engine, so its
+    ``topdown.*`` work, a ``budget.exhausted`` and the ``budget``
+    event land where the caller reads them.
     """
 
     def __init__(
@@ -144,82 +142,36 @@ class Explainer:
                 "negated queries have no constructive proof to explain"
             )
         engine = self._engine
-        domain = engine._dom(db)
-        with engine._governed(budget):
-            unbound = list(dict.fromkeys(premise.variables()))
-            for binding in ground_instances(unbound, domain):
-                grounded = premise.substitute(binding)
-                proof = self._explain_atom(
-                    grounded.atom, _premise_db(grounded, db), domain, set()
-                )
-                if proof is not None:
-                    return proof
-        return None
-
-    # ------------------------------------------------------------------
-    # Search
-    # ------------------------------------------------------------------
-
-    def _explain_atom(
-        self,
-        goal: Atom,
-        db: Database,
-        domain: Sequence[Constant],
-        path: set,
-    ) -> Optional[Proof]:
-        if goal in db:
-            return Proof(goal, db)
-        key = (goal, db)
-        if key in path:
-            return None  # minimal proofs never feed a goal to itself
-        engine = self._engine
-        if not engine._decide(goal, db, domain):
+        grounded = engine._witness(db, premise, budget)
+        if grounded is None:
             return None
-        path.add(key)
-        try:
-            for item in self._rulebase.definition(goal.predicate):
-                head_binding = match(item.head, goal)
-                if head_binding is None:
-                    continue
-                for binding in engine._bindings(item, head_binding, db, domain):
-                    steps = self._build_steps(item, binding, db, domain, path)
-                    if steps is not None:
-                        return Proof(goal, db, item, steps)
-        finally:
-            path.discard(key)
-        return None
+        return _read_proof(
+            engine._proven, grounded.atom, premise_db(grounded, db), {}
+        )
 
-    def _build_steps(
-        self,
-        item: Rule,
-        binding: Substitution,
-        db: Database,
-        domain: Sequence[Constant],
-        path: set,
-    ) -> Optional[tuple[PremiseStep, ...]]:
-        """Recursively prove the premises; None if any subproof fails
-        (possible despite engine-provability when the only derivations
-        run through the current path)."""
-        steps: list[PremiseStep] = []
-        for premise in ordered_premises(item.body):
-            grounded = premise.substitute(binding)
-            if isinstance(grounded, Negated):
-                steps.append(PremiseStep(grounded, None))
-                continue
-            subproof = self._explain_atom(
-                grounded.atom, _premise_db(grounded, db), domain, path
+
+def _read_proof(proven: dict, goal: Atom, db: Database, built: dict) -> Proof:
+    """The proof of a goal the search decided true at ``db``, read from
+    its proven table.  An entry only cites goals proven before it, so
+    the reading is well founded; ``built`` shares repeated subproofs."""
+    if goal in db:
+        return Proof(goal, db)
+    key = (goal, db)
+    found = built.get(key)
+    if found is not None:
+        return found
+    item, binding = proven[key]
+    steps: list[PremiseStep] = []
+    for premise in ordered_premises(item.body):
+        grounded = premise.substitute(binding)
+        subproof = None
+        if not isinstance(grounded, Negated):
+            subproof = _read_proof(
+                proven, grounded.atom, premise_db(grounded, db), built
             )
-            if subproof is None:
-                return None
-            steps.append(PremiseStep(grounded, subproof))
-        return tuple(steps)
-
-
-def _premise_db(premise: Premise, db: Database) -> Database:
-    """The database a ground premise's goal is proved at."""
-    if isinstance(premise, Hypothetical):
-        return db.child(premise.additions, premise.deletions)
-    return db
+        steps.append(PremiseStep(grounded, subproof))
+    found = built[key] = Proof(goal, db, item, tuple(steps))
+    return found
 
 
 def verify_proof(rulebase: Rulebase, proof: Proof) -> bool:

@@ -18,10 +18,14 @@ Delta_k, Sigma_k`` the paper defines a cascade of procedures:
 
 This module realizes the cascade deterministically:
 
-* the nondeterministic choices of ``PROVE_Sigma_i`` become exhaustive
-  depth-first search with cycle cutting and memoization of proven and
-  refuted goals (a refuted goal is only cached when its subtree hit no
-  cycle, which keeps the search complete);
+* the nondeterministic choices of ``PROVE_Sigma_i`` become the goal
+  search of :class:`~repro.engine.front.GoalDirectedEngine`:
+  exhaustive depth-first search with cycle cutting and tables of
+  proven and refuted goals (a refuted goal is only tabled when its
+  subtree hit no cycle, which keeps the search complete).  The one
+  thing this module adds to it is the dispatch: a predicate of a Δ
+  segment is read from that segment's model, every other predicate
+  with rules is searched;
 * ``PROVE_Delta_i`` materializes the perfect model of ``Delta_i`` at a
   database once and memoizes it per ``(stratum, database)``, so the
   many ``TEST0`` calls of the paper become dictionary lookups.  Each
@@ -37,15 +41,17 @@ This module realizes the cascade deterministically:
   above close fresh.  It is the same least fixpoint, at the cost of
   the change rather than of the database.
 
-The prover also keeps the counters needed by experiment E9: the number
-of sigma goals expanded bounds the length of the paper's "proof
-sequences", which Appendix A (Theorem 3) proves polynomial in the
-domain size for linear rulebases.
+Every model and goal is decided over the query's ``dom(R, DB)``, as in
+the other engines.  The prover also keeps the counters needed by
+experiment E9: the number of sigma goals expanded bounds the length of
+the paper's "proof sequences", which Appendix A (Theorem 3) proves
+polynomial in the domain size for linear rulebases.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from functools import partial
+from typing import Iterator, Optional
 
 from ..analysis.monotone import has_unbound_head, positive_layer_prefix
 from ..analysis.stratify import (
@@ -53,23 +59,14 @@ from ..analysis.stratify import (
     linear_stratification,
     negation_strata,
 )
-from ..core.ast import Hypothetical, Negated, Positive, Premise, Rule, Rulebase
+from ..core.ast import Rulebase
 from ..core.database import Database
 from ..core.errors import EvaluationError
-from ..core.terms import Atom, Constant
-from ..core.unify import Substitution, ground_instances, match
-from ..analysis.planner import annotate_plan, idb_aware_sizes
+from ..core.terms import Atom
+from ..core.unify import Substitution
 from ..obs.metrics import MetricsRegistry
-from ..obs.trace import NULL_SPAN, NULL_TRACER, Tracer
-from .body import (
-    cost_aware_positive_order,
-    join_mode,
-    nonlocal_variables,
-    satisfy_body,
-)
-from .budget import NULL_BUDGET
+from ..obs.trace import NULL_SPAN, Tracer
 from .delta import Layer, LayerInstruments, close_layer, seed_layers
-from .domain import Domain
 from .front import GoalDirectedEngine
 from .interpretation import Interpretation
 
@@ -88,7 +85,7 @@ class LinearStratifiedProver(GoalDirectedEngine):
     stratification:
         A precomputed stratification, if the caller already has one.
     memoize:
-        Disable the proven/refuted goal caches and the delta-model
+        Disable the proven/refuted goal tables and the delta-model
         cache for the E13 ablation bench (and with the cache, seeding
         a delta model from one held at a smaller database).
     budget:
@@ -117,11 +114,18 @@ class LinearStratifiedProver(GoalDirectedEngine):
                 "the PROVE cascade covers the paper's add-only language; "
                 "evaluate hypothetical deletions with the top-down engine"
             )
-        self._rulebase = rulebase
         self._strat = stratification or linear_stratification(rulebase)
-        self._dom = Domain(rulebase.constants())
-        self._memoize = memoize
-        self._join_mode = join_mode(optimize_joins)
+        self._setup_search(
+            rulebase,
+            memoize=memoize,
+            optimize_joins=optimize_joins,
+            metrics=metrics,
+            tracer=tracer,
+            budget=budget,
+            goals="prove.sigma_goals",
+            cache_hits="prove.sigma_cache_hits",
+            prefix="prove",
+        )
         # Delta segments, split into their internal negation layers.
         # Each layer carries its closure prep (close_layer's Layer).
         self._delta_layers: dict[int, list[Layer]] = {}
@@ -153,32 +157,25 @@ class LinearStratifiedProver(GoalDirectedEngine):
                     tuple(dict.fromkeys(item.head.predicate for item in seeded)),
                     has_unbound_head(seeded),
                 )
-        # Caches.
-        self._sigma_true: set[tuple[Atom, Database]] = set()
-        self._sigma_false: set[tuple[Atom, Database]] = set()
-        self._delta_cache: dict[tuple[int, Database], Interpretation] = {}
+        # The Δ dispatch: every predicate a Δ segment defines is read
+        # from that segment's model.
+        self._delta_strata = {}
+        for predicate in rulebase.defined_predicates():
+            segment = strat.segment_of(predicate)
+            if segment % 2 == 1:
+                self._delta_strata[predicate] = (segment + 1) // 2
         # The database of the current public call and the one before
-        # it: a Delta model may seed from the segment's model at either.
-        self._calls: tuple[Optional[Database], Optional[Database]] = (None, None)
-        self._path: set[tuple[Atom, Database]] = set()
-        self._cycle_events = 0
+        # it, each with the Δ models of its domain: a Delta model may
+        # seed from the segment's model at either.
+        self._calls: tuple[tuple[Optional[Database], dict], ...] = (
+            (None, {}),
+            (None, {}),
+        )
         self._delta_in_progress: set[tuple[int, Database]] = set()
-        self._plan_cache: dict[Database, object] = {}
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._budget = budget if budget is not None else NULL_BUDGET
         counter = self.metrics.counter
-        self._n_sigma_goals = counter("prove.sigma_goals")
-        self._n_sigma_cache_hits = counter("prove.sigma_cache_hits")
         self._n_delta_models = counter("prove.delta_models")
         self._n_delta_seeded = counter("prove.delta_seeded")
         self._n_delta_cache_hits = counter("prove.delta_cache_hits")
-        self._n_cycles_cut = counter("prove.cycles_cut")
-        self._n_plan_hits = counter("prove.plan_cache_hits")
-        self._n_plan_misses = counter("prove.plan_cache_misses")
-        self._n_negation = counter("prove.negation_tests")
-        self._n_hypo = counter("prove.hypothesis_expansions")
-        self._g_max_depth = self.metrics.gauge("prove.max_depth")
         self._delta_instruments = LayerInstruments(
             rounds=counter("prove.delta_rounds"),
             firings=counter("prove.delta_firings"),
@@ -189,12 +186,6 @@ class LinearStratifiedProver(GoalDirectedEngine):
     def stratification(self) -> LinearStratification:
         return self._strat
 
-    def clear_caches(self) -> None:
-        self._sigma_true.clear()
-        self._sigma_false.clear()
-        self._delta_cache.clear()
-        self._plan_cache.clear()
-
     def _clear_inflight(self) -> None:
         # The goal path and the Delta progress markers: left behind by
         # an interrupted query, they would poison cycle detection.
@@ -203,271 +194,12 @@ class LinearStratifiedProver(GoalDirectedEngine):
 
     def _begin_call(self, db: Database) -> None:
         current = self._calls[0]
-        if db is not current:
-            self._calls = (db, current)
+        if db is not current[0]:
+            self._calls = ((db, self._models), current)
 
-    def _pattern_bindings(
-        self, pattern: Atom, db: Database, domain: Sequence[Constant]
-    ) -> Iterator[Substitution]:
-        # Read the stored facts and the Delta model (one lookup), or
-        # search the Sigma goals, instead of deciding every grounding.
-        return self._match_atom(pattern, {}, db, domain)
-
-    # ------------------------------------------------------------------
-    # Dispatch (the PROVE cascade)
-    # ------------------------------------------------------------------
-
-    def _cost_plan(self, db: Database, domain: Sequence[Constant]):
-        """Cost-aware positive-premise planner for the current database.
-
-        IDB predicates are penalized with a domain**arity size so the
-        planner prefers stored relations when selectivity ties.  Plans
-        are cached per database: the prover revisits the same enlarged
-        databases many times during a search.
-        """
-        if self._join_mode != "cost":
-            return None
-        plan = self._plan_cache.get(db)
-        if plan is not None:
-            self._n_plan_hits.value += 1
-            return plan
-        self._n_plan_misses.value += 1
-        sizes = idb_aware_sizes(self._rulebase, db.count, len(domain))
-        domain_size = len(domain)
-        trace = self._tracer
-
-        def plan(positives, bound, first=None):
-            order = cost_aware_positive_order(
-                positives, bound, sizes, domain_size, first
-            )
-            if trace.enabled and order:
-                trace.event(
-                    "plan",
-                    " ".join(p.atom.predicate for p in order),
-                    args={
-                        "order": annotate_plan(order, bound, sizes, domain_size)
-                    },
-                )
-            return order
-
-        self._plan_cache[db] = plan
-        return plan
-
-    def _holds(self, premise: Premise, db: Database, domain) -> bool:
-        return self._decide(premise, db)
-
-    def _decide(self, premise: Premise, db: Database) -> bool:
-        """Decide a ground premise — the full PROVE cascade.
-
-        Dispatches on where the goal predicate is defined, which is
-        exactly where the paper's cascade would eventually route it.
-        """
-        if isinstance(premise, Hypothetical):
-            enlarged = db.with_facts(*premise.additions)
-            return self._decide(Positive(premise.atom), enlarged)
-        if isinstance(premise, Negated):
-            return not self._decide(Positive(premise.atom), db)
-        goal = premise.atom
-        if goal in db:  # line 1 of PROVE_Sigma / TEST0
-            return True
+    def _goal_args(self, goal: Atom, db: Database) -> dict:
         segment = self._strat.segment_of(goal.predicate)
-        if segment == 0:  # EDB predicate, not a fact
-            return False
-        stratum = (segment + 1) // 2
-        if segment % 2 == 0:
-            return self._sigma_search(stratum, goal, db)
-        return goal in self._delta_model(stratum, db)
-
-    # ------------------------------------------------------------------
-    # PROVE_Sigma_i: top-down search over linear hypothetical rules
-    # ------------------------------------------------------------------
-
-    def _sigma_search(self, stratum: int, goal: Atom, db: Database) -> bool:
-        """Exhaustive realization of the nondeterministic goal search."""
-        key = (goal, db)
-        if key in self._sigma_true:
-            self._n_sigma_cache_hits.value += 1
-            return True
-        if key in self._sigma_false:
-            self._n_sigma_cache_hits.value += 1
-            return False
-        if key in self._path:
-            # A goal may not feed its own proof: cut this branch.  The
-            # result is not cached — another branch may still prove it.
-            self._cycle_events += 1
-            self._n_cycles_cut.value += 1
-            return False
-
-        self._n_sigma_goals.value += 1
-        budget = self._budget
-        if budget.enabled:
-            budget.charge("prove.sigma_goals")
-        self._path.add(key)
-        self._g_max_depth.set_max(len(self._path))
-        if budget.enabled:
-            budget.check_depth("prove.sigma_goals", len(self._path))
-        cycles_before = self._cycle_events
-        domain = self._dom(db)
-        proven = False
-        trace = self._tracer
-        goal_ctx = (
-            trace.span(
-                "goal", str(goal), args={"stratum": stratum, "db": len(db)}
-            )
-            if trace.enabled
-            else NULL_SPAN
-        )
-        with goal_ctx:
-            for item in self._rulebase.definition(goal.predicate):
-                binding = match(item.head, goal)
-                if binding is None:
-                    continue
-                rule_ctx = (
-                    trace.span("rule", item.head.predicate, src=item.span)
-                    if trace.enabled
-                    else NULL_SPAN
-                )
-                with rule_ctx:
-                    for _ in self._sigma_body(stratum, item, binding, db, domain):
-                        proven = True
-                        break
-                if proven:
-                    break
-        self._path.discard(key)
-        if proven:
-            if self._memoize:
-                self._sigma_true.add(key)
-            return True
-        if self._memoize and self._cycle_events == cycles_before:
-            # Exhaustive failure with no cycle cut anywhere below:
-            # safe to remember as refuted.
-            self._sigma_false.add(key)
-        return False
-
-    def _sigma_body(
-        self,
-        stratum: int,
-        item: Rule,
-        binding: Substitution,
-        db: Database,
-        domain: Sequence[Constant],
-    ) -> Iterator[Substitution]:
-        """Bindings satisfying a Sigma rule body (goal-set expansion)."""
-        return satisfy_body(
-            item.body,
-            binding=binding,
-            ground_first=nonlocal_variables(item),
-            domain=domain,
-            optimize=self._join_mode == "greedy",
-            plan=self._cost_plan(db, domain),
-            positive=lambda pattern, current: self._match_atom(
-                pattern, current, db, domain
-            ),
-            hypothetical=lambda premise, current: self._expand_hypothetical(
-                premise, current, db, domain
-            ),
-            negated=lambda pattern, current: self._test_negated(
-                pattern, current, db, domain
-            ),
-        )
-
-    # ------------------------------------------------------------------
-    # Premise evaluation shared by the Sigma search and Delta models
-    # ------------------------------------------------------------------
-
-    def _match_atom(
-        self,
-        pattern: Atom,
-        binding: Substitution,
-        db: Database,
-        domain: Sequence[Constant],
-    ) -> Iterator[Substitution]:
-        """Enumerate bindings making a positive premise provable.
-
-        Facts in the database come first (line 1 / TEST0's first case),
-        then derivations: predicates defined in a Delta segment are
-        matched against that segment's materialized perfect model;
-        predicates defined in a Sigma segment are grounded over the
-        domain and searched goal-directedly.
-        """
-        seen: set[tuple] = set()
-        pattern_variables = list(dict.fromkeys(pattern.variables()))
-
-        def emit(extended: Substitution) -> Iterator[Substitution]:
-            signature = tuple(extended.get(var) for var in pattern_variables)
-            if signature not in seen:
-                seen.add(signature)
-                yield extended
-
-        for extended in db.matches(pattern, binding):
-            yield from emit(extended)
-
-        segment = self._strat.segment_of(pattern.predicate)
-        if segment == 0:
-            return
-        stratum = (segment + 1) // 2
-        if segment % 2 == 1:
-            model = self._delta_model(stratum, db)
-            for extended in model.matches(pattern, binding):
-                yield from emit(extended)
-        else:
-            unbound = [var for var in pattern_variables if var not in binding]
-            for grounding in ground_instances(unbound, domain, binding):
-                goal = pattern.substitute(grounding)
-                if self._sigma_search(stratum, goal, db):
-                    yield from emit(grounding)
-
-    def _expand_hypothetical(
-        self,
-        premise: Hypothetical,
-        binding: Substitution,
-        db: Database,
-        domain: Sequence[Constant],
-    ) -> Iterator[Substitution]:
-        """Ground the premise and decide it at the enlarged database."""
-        trace = self._tracer
-        unbound = [
-            var for var in dict.fromkeys(premise.variables()) if var not in binding
-        ]
-        for grounding in ground_instances(unbound, domain, binding):
-            grounded = premise.substitute(grounding)
-            self._n_hypo.value += 1
-            ctx = (
-                trace.span("hypothesis", str(grounded), src=premise.span)
-                if trace.enabled
-                else NULL_SPAN
-            )
-            with ctx:
-                decided = self._decide(grounded, db)
-            if decided:
-                yield grounding
-
-    def _test_negated(
-        self,
-        pattern: Atom,
-        binding: Substitution,
-        db: Database,
-        domain: Sequence[Constant],
-    ) -> bool:
-        """Negation as failure with local variables inside the negation."""
-        self._n_negation.value += 1
-        if db.has_match(pattern, binding):
-            return False
-        segment = self._strat.segment_of(pattern.predicate)
-        if segment == 0:
-            return True
-        stratum = (segment + 1) // 2
-        if segment % 2 == 1:
-            return not self._delta_model(stratum, db).has_match(pattern, binding)
-        unbound = [
-            var
-            for var in dict.fromkeys(pattern.variables())
-            if var not in binding
-        ]
-        for grounding in ground_instances(unbound, domain, binding):
-            if self._sigma_search(stratum, pattern.substitute(grounding), db):
-                return False
-        return True
+        return {"stratum": (segment + 1) // 2, "db": len(db)}
 
     # ------------------------------------------------------------------
     # PROVE_Delta_i: materialized perfect model per (stratum, database)
@@ -482,7 +214,8 @@ class LinearStratifiedProver(GoalDirectedEngine):
         positive layer prefix (see :meth:`_seed_source`).
         """
         key = (stratum, db)
-        cached = self._delta_cache.get(key)
+        models = self._models
+        cached = models.get(key)
         if cached is not None:
             self._n_delta_cache_hits.value += 1
             return cached
@@ -495,7 +228,6 @@ class LinearStratifiedProver(GoalDirectedEngine):
         self._n_delta_models.value += 1
         if self._budget.enabled:
             self._budget.charge("prove.delta_models")
-        domain = self._dom(db)
         segment = 2 * stratum - 1
         own = self._strat.predicates_in_segment(segment)
         interp = Interpretation(db)
@@ -512,22 +244,15 @@ class LinearStratifiedProver(GoalDirectedEngine):
 
         def positive(pattern: Atom, current: Substitution) -> Iterator[Substitution]:
             if pattern.predicate in own:
-                yield from interp.matches(pattern, current)
-            else:
-                yield from self._match_atom(pattern, current, db, domain)
+                return interp.matches(pattern, current)
+            return self._match(db, pattern, current)
 
         def negated(pattern: Atom, current: Substitution) -> bool:
             if pattern.predicate in own:
                 return not interp.has_match(pattern, current)
-            return self._test_negated(pattern, current, db, domain)
-
-        def hypothetical(
-            premise: Hypothetical, current: Substitution
-        ) -> Iterator[Substitution]:
-            return self._expand_hypothetical(premise, current, db, domain)
+            return self._refute(db, pattern, current)
 
         trace = self._tracer
-        plan = self._cost_plan(db, domain)
         if trace.enabled:
             args = {"db": len(db)}
             if seeded:
@@ -550,11 +275,11 @@ class LinearStratifiedProver(GoalDirectedEngine):
                     close_layer(
                         layer,
                         interp,
-                        domain,
+                        self._domain,
                         positive=positive,
                         negated=negated,
-                        hypothetical=hypothetical,
-                        plan=plan,
+                        hypothetical=partial(self._hypothesize, db),
+                        plan=self._planner(db),
                         optimize=self._join_mode == "greedy",
                         instruments=self._delta_instruments,
                         tracer=trace,
@@ -564,7 +289,7 @@ class LinearStratifiedProver(GoalDirectedEngine):
                     )
         self._delta_in_progress.discard(key)
         if self._memoize:
-            self._delta_cache[key] = interp
+            models[key] = interp
         return interp
 
     def _seed_source(
@@ -577,24 +302,22 @@ class LinearStratifiedProver(GoalDirectedEngine):
         are tried (the model engine's lineage rule), and only models
         the cache already holds: none is computed to seed from.  The
         source database must be a subset of ``db``.  When a seeded rule
-        has an unbound head variable, ``db`` must also bring no
-        constant new to ``dom(R, DB)``.
+        has an unbound head variable, the source model must also have
+        been grounded over this call's domain.
         """
         seeding = self._seeding.get(stratum)
         if seeding is None:
             return None
-        for source in self._calls:
+        for source, models in self._calls:
             if source is None or source is db:
                 continue
-            held = self._delta_cache.get((stratum, source))
+            held = models.get((stratum, source))
             if held is None:
                 continue
             removed, added = source.diff(db)
             if removed:
                 continue
-            if seeding[2] and not (
-                db.constants() - source.constants() <= self._dom.rule_constants
-            ):
+            if seeding[2] and models is not self._models:
                 continue
             return held, added
         return None

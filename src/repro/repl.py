@@ -601,9 +601,14 @@ class Repl:
                 from .analysis.magic import format_rewrite, magic_rewrite
 
                 return format_rewrite(magic_rewrite(self._rulebase, query))
-            from .engine.proofs import Explainer, format_proof
+            from .engine.proofs import format_proof
 
-            proof = Explainer(self._rulebase).explain(self._db, argument.rstrip("."))
+            try:
+                proof = self._require_session().explain(
+                    self._db, argument.rstrip("."), budget=self._budget()
+                )
+            except ResourceExhausted as error:
+                return self._render_exhausted(error, [])
             return format_proof(proof) if proof is not None else "not provable"
         if name in ("why", "whynot", "assumptions"):
             if not argument:

@@ -19,6 +19,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from repro.analysis.stratify import LinearStratification, is_linearly_stratified
+from repro.core.ast import Hypothetical
 from repro.core.errors import EvaluationError, ResourceExhausted
 from repro.core.parser import parse_database, parse_program
 from repro.core.terms import Atom, Constant, Variable
@@ -94,6 +95,86 @@ def test_long_lived_prover_agrees_along_additions(rulebase, db, steps):
             assert prover.answers(db, pattern) == expected
             assert unseeded.answers(db, pattern) == expected
         assert _seeded(unseeded) == 0
+
+
+#: Facts over ``x`` and ``y`` bring constants no generated rule names:
+#: asserting one grows ``dom(R, DB)``, retracting the last one shrinks it.
+_WIDE = [
+    Atom(name, (Constant(value),)) for name in ("e0", "e1") for value in "abxy"
+]
+
+
+@SETTINGS
+@given(
+    stratified_rulebases(),
+    edb_databases(),
+    st.lists(
+        st.tuples(
+            st.lists(st.sampled_from(_WIDE), max_size=2),
+            st.lists(st.sampled_from(_WIDE), max_size=2),
+            st.sampled_from(_WIDE),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_long_lived_engines_agree_across_domains(rulebase, db, steps):
+    """Along databases that gain and lose constants, a PROVE and a
+    top-down engine that keep their tables answer every IDB pattern as
+    fresh engines and the model engine do; so they do after a what-if
+    (``[add:]`` or ``[del:]``) of one fact, and at the world that
+    what-if imagined.  A what-if bringing a constant outside the
+    query's ``dom(R, DB)`` is compared with a fresh engine of the same
+    kind only: the top-down engine grounds a premise's unbound
+    variables over the query's domain, so it does not see a derived
+    atom naming the new constant, which the model engine's join
+    does."""
+    linear = is_linearly_stratified(rulebase)
+    long_lived = {"topdown": TopDownEngine(rulebase)}
+    if linear:
+        long_lived["prove"] = LinearStratifiedProver(rulebase)
+    model = PerfectModelEngine(rulebase, max_databases=3000)
+    patterns = [
+        Atom(name, (Variable("X"),) * (rulebase.arity(name) or 0))
+        for name in sorted(rulebase.defined_predicates())
+    ]
+
+    def fresh(kind):
+        if kind == "prove":
+            return LinearStratifiedProver(rulebase)
+        return TopDownEngine(rulebase)
+
+    def agree(at, query, with_model=True):
+        ask = isinstance(query, Hypothetical)
+        run = (lambda engine: engine.ask(at, query)) if ask else (
+            lambda engine: engine.answers(at, query)
+        )
+        expected = None
+        if with_model:
+            try:
+                expected = run(model)
+            except EvaluationError:
+                return False  # the model engine's per-call cap
+        for kind, engine in long_lived.items():
+            answer = run(engine)
+            assert answer == run(fresh(kind)), (kind, at, query)
+            if expected is not None:
+                assert answer == expected, (kind, at, query)
+        return True
+
+    for asserted, retracted, fact, adds in steps:
+        db = db.without_facts(*retracted).with_facts(*asserted)
+        change = ((fact,), ()) if adds else ((), (fact,))
+        inside = set(fact.args) <= set(model.domain(db))
+        world = db.child(*change)
+        for pattern in patterns:
+            if not agree(db, pattern):
+                return
+            if not agree(db, Hypothetical(pattern, *change), with_model=inside):
+                return
+            if not agree(world, pattern):
+                return
 
 
 def test_agreement_property_reaches_seeded_models():

@@ -254,6 +254,20 @@ class TestLimits:
         out = loaded.feed(":profile yes")
         assert "exhausted" in out
 
+    def test_explain_reports_into_stats(self, loaded):
+        # :explain runs the session's Explainer, so its top-down work
+        # lands in the sitting's registry.
+        assert "[by rule:" in loaded.feed(":explain yes")
+        assert "topdown.goals" in loaded.feed(":stats")
+
+    def test_explain_under_limits(self, loaded):
+        loaded.feed(":limits steps=3")
+        out = loaded.feed(":explain yes")
+        assert "exhausted" in out
+        assert "spent:" in out
+        loaded.feed(":limits off")
+        assert "[by rule:" in loaded.feed(":explain yes")
+
 
 class TestConnect:
     """``:connect`` — the REPL as a client of ``hypodatalog serve``."""
