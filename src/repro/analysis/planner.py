@@ -19,23 +19,27 @@ result.  This module holds the ordering policies:
   analysis buys the engines: a bound position divides the expected
   matches by the domain size, so a small relation or a well-adorned
   call is tried first even when a most-bound count would tie.
+* :class:`JoinPlanner` — the one join-order decision of an engine:
+  built once from its ``optimize_joins``, it dispatches every join the
+  engine evaluates to one of the three policies (textual order, greedy
+  or cost-aware) and memoizes the cost-aware orders.
 
 The same primitives drive the static analyzer
 (:mod:`repro.analysis.modes`): the planner fixes the evaluation order
 the engines will use, and the abstract interpretation walks that order
 to compute bound/free variable sets and domain-blowup estimates.
 
-This module depends only on :mod:`repro.core`; the engines import it
-through :mod:`repro.engine.body`, which re-exports the ordering
-functions for backward compatibility.
+This module depends only on :mod:`repro.core`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from ..core.ast import Hypothetical, Negated, Positive, Premise, Rule
+from ..core.generations import TwoGenerations
 from ..core.terms import Atom, Constant, Variable
 
 __all__ = [
@@ -48,6 +52,7 @@ __all__ = [
     "idb_aware_sizes",
     "join_mode",
     "JOIN_MODES",
+    "JoinPlanner",
     "AtomAccess",
     "KernelStep",
     "KernelPlan",
@@ -56,6 +61,8 @@ __all__ = [
 ]
 
 SizeOracle = Union[Callable[[str], float], Mapping[str, float]]
+
+_NO_VARIABLES: frozenset[Variable] = frozenset()
 
 JOIN_MODES = ("textual", "greedy", "cost")
 
@@ -278,6 +285,124 @@ def cost_aware_positive_order(
         ordered.append(best)
         bound_vars.update(best.atom.variables())
     return ordered
+
+
+def _textual_order(
+    positives: Sequence[Positive],
+    bound: Iterable[Variable],
+    first: Optional[Positive] = None,
+) -> list[Positive]:
+    """The positive premises in textual order, ``first`` pinned."""
+    if first is None:
+        return list(positives)
+    return [first, *(item for item in positives if item is not first)]
+
+
+def _position(positives: Sequence[Positive], premise: Positive) -> int:
+    """Where ``premise`` (by identity) stands among ``positives``."""
+    return next(index for index, item in enumerate(positives) if item is premise)
+
+
+class JoinPlanner:
+    """One engine's join-order decision.
+
+    Built once per engine from its ``optimize_joins`` (:func:`join_mode`).
+    Every join the engine evaluates asks :meth:`at` for the order of its
+    positive premises: textual order, :func:`greedy_positive_order` or
+    :func:`cost_aware_positive_order`.  Cost orders are memoized on
+    exactly what that policy reads: the premises, the bound variables,
+    the pinned premise's position, the premises' sizes from the caller's
+    ``count`` and the domain size.  The memo holds each order as
+    positions, so a hit returns the caller's own premise objects.  It
+    keeps what the engine's last two calls planned: the engine's
+    governed call front calls :meth:`rotate` on every exit.
+
+    ``rulebase``, when given, adds :func:`idb_aware_sizes`'s estimate for
+    the predicates with rules, which a goal-directed engine decides
+    rather than scans.  ``hits`` and ``misses`` count memo lookups, and
+    an enabled ``tracer`` gets one ``plan`` event per miss.
+    """
+
+    __slots__ = ("mode", "_memo", "_rulebase", "_hits", "_misses", "_tracer")
+
+    def __init__(
+        self,
+        optimize_joins: Union[bool, str, None],
+        *,
+        rulebase=None,
+        hits=None,
+        misses=None,
+        tracer=None,
+    ) -> None:
+        self.mode = join_mode(optimize_joins)
+        self._memo = TwoGenerations()
+        self._rulebase = rulebase
+        self._hits = hits
+        self._misses = misses
+        self._tracer = tracer
+
+    def at(
+        self, count: Callable[[str], int], domain_size: int
+    ) -> Callable[..., list[Positive]]:
+        """The ``plan`` a join takes: ``plan(positives, bound, first)``,
+        the positive premises in join order at the relation sizes
+        ``count`` reports, ``first`` (when not ``None``) joined before
+        the others."""
+        if self.mode == "textual":
+            return _textual_order
+        if self.mode == "greedy":
+            return greedy_positive_order
+        return partial(self._cost_order, count, domain_size)
+
+    def _cost_order(
+        self,
+        count: Callable[[str], int],
+        domain_size: int,
+        positives: Sequence[Positive],
+        bound: Iterable[Variable],
+        first: Optional[Positive] = None,
+    ) -> list[Positive]:
+        key = (
+            tuple(positives),
+            frozenset(bound) if bound else _NO_VARIABLES,
+            None if first is None else _position(positives, first),
+            tuple([count(item.atom.predicate) for item in positives]),
+            domain_size,
+        )
+        order = self._memo.get(key)
+        if order is not None:
+            if self._hits is not None:
+                self._hits.value += 1
+            return [positives[index] for index in order]
+        if self._misses is not None:
+            self._misses.value += 1
+        sizes = (
+            count
+            if self._rulebase is None
+            else idb_aware_sizes(self._rulebase, count, domain_size)
+        )
+        planned = cost_aware_positive_order(
+            positives, bound, sizes, domain_size, first
+        )
+        self._memo[key] = tuple(_position(positives, item) for item in planned)
+        trace = self._tracer
+        if trace is not None and trace.enabled and planned:
+            trace.event(
+                "plan",
+                " ".join(item.atom.predicate for item in planned),
+                args={
+                    "order": annotate_plan(planned, bound, sizes, domain_size)
+                },
+            )
+        return planned
+
+    def rotate(self) -> None:
+        """Drop the orders the call before last planned and this call
+        did not use."""
+        self._memo.rotate()
+
+    def clear(self) -> None:
+        self._memo.clear()
 
 
 # ----------------------------------------------------------------------

@@ -721,39 +721,30 @@ def _run_explain(options: argparse.Namespace, rulebase) -> int:
     budget = _budget_from(options)
     if options.why or options.assumptions:
         session = _provenance_session(options, rulebase)
-        if session is None:
-            if options.assumptions:
+        if options.assumptions:
+            if session is None:
                 print("error: --assumptions needs the bottom-up engine")
                 return EXIT_EVALUATION
-            # --why degrades to the top-down proof search.
-            from .engine.proofs import Explainer, format_proof
-
-            proof = Explainer(rulebase, budget=budget).explain(
-                db, options.premise
-            )
-            if proof is None:
-                print("not provable")
-                return 1
-            print(format_proof(proof))
-            return 0
-        if options.assumptions:
             from .obs.provenance import format_assumptions
 
             assumed = session.assumptions(db, options.premise, budget=budget)
             print(format_assumptions(assumed))
             return 0 if assumed is not None else 1
-        from .engine.proofs import format_proof, verify_proof
+        if session is not None:
+            from .engine.proofs import format_proof, verify_proof
 
-        proof = session.why(db, options.premise, budget=budget)
-        if proof is None:
-            print("not provable")
-            return 1
-        if not verify_proof(rulebase, proof):
-            print("error: replayed proof failed verification")
-            return EXIT_EVALUATION
-        print(format_proof(proof))
-        return 0
-    if options.why_not:
+            proof = session.why(db, options.premise, budget=budget)
+            if proof is None:
+                print("not provable")
+                return 1
+            if not verify_proof(rulebase, proof):
+                print("error: replayed proof failed verification")
+                return EXIT_EVALUATION
+            print(format_proof(proof))
+            return 0
+        # Without the bottom-up engine, --why degrades to the top-down
+        # proof search below.
+    elif options.why_not:
         from .obs.provenance import format_why_not
 
         session = _provenance_session(options, rulebase)
@@ -763,9 +754,11 @@ def _run_explain(options: argparse.Namespace, rulebase) -> int:
         report = session.why_not(db, options.premise, budget=budget)
         print(format_why_not(report))
         return 0 if report.kind != "holds" else 1
-    from .engine.proofs import Explainer, format_proof
+    from .engine.proofs import format_proof
 
-    proof = Explainer(rulebase, budget=budget).explain(db, options.premise)
+    proof = Session(rulebase, "topdown", budget=budget).explain(
+        db, options.premise
+    )
     if proof is None:
         print("not provable")
         return 1

@@ -1,7 +1,7 @@
 """A map that keeps what its last two generations touched.
 
 The model engine's model cache, :class:`~repro.core.columns.ColumnStore`
-and the kernels' join-order memo keep entries by one rule.  A lookup
+and the engines' join planner memo keep entries by one rule.  A lookup
 finds an entry in the current generation, or promotes it from the
 previous one.  When an engine call that touched something returns, the
 previous generation is dropped and the current one takes its place.  So

@@ -27,14 +27,11 @@ right before the first negated premise.
 Premises are reordered positives -> hypotheticals -> negations; within
 a category the textual order is kept by default, so evaluation is
 deterministic.  The *positive* premises may additionally be reordered
-by a join planner: either the legacy greedy most-bound-first policy
-(``optimize=True`` with no ``plan``) or an engine-supplied ``plan``
-callback, typically the selectivity-based
-:func:`~repro.analysis.planner.cost_aware_positive_order` closed over
-live relation sizes.  The ordering policies themselves live in
-:mod:`repro.analysis.planner` (they are shared with the static
-binding-mode analyzer); this module re-exports them so existing
-imports keep working.
+by a ``plan`` callback: the engine's
+:class:`~repro.analysis.planner.JoinPlanner` hands every join one, which
+orders them by the engine's join mode at live relation sizes.  The
+ordering policies themselves live in :mod:`repro.analysis.planner`
+(they are shared with the static binding-mode analyzer).
 """
 
 from __future__ import annotations
@@ -42,10 +39,7 @@ from __future__ import annotations
 from typing import Callable, Iterator, Optional, Sequence
 
 from ..analysis.planner import (
-    cost_aware_positive_order,
-    estimate_matches,
     greedy_positive_order,
-    join_mode,
     nonlocal_variables,
     ordered_premises,
 )
@@ -59,16 +53,14 @@ __all__ = [
     "ordered_premises",
     "nonlocal_variables",
     "greedy_positive_order",
-    "cost_aware_positive_order",
-    "estimate_matches",
-    "join_mode",
 ]
 
 HypotheticalExpander = Callable[[Hypothetical, Substitution], Iterator[Substitution]]
 NegatedTest = Callable[[Atom, Substitution], bool]
 PositiveExpander = Callable[[Atom, Substitution], Iterator[Substitution]]
-#: ``plan(positives, bound)``, or ``plan(positives, bound, first)`` when
-#: one premise is pinned to the front (see :func:`satisfy_body`).
+#: ``plan(positives, bound, first)``: the positive premises in join
+#: order, ``first`` (when not ``None``) pinned to the front (see
+#: :func:`satisfy_body`).
 PositivePlanner = Callable[..., Sequence[Positive]]
 
 
@@ -81,7 +73,6 @@ def satisfy_body(
     binding: Optional[Substitution] = None,
     ground_first: Sequence[Variable] = (),
     domain: Sequence[Constant] = (),
-    optimize: bool = False,
     plan: Optional[PositivePlanner] = None,
     first: Optional[Positive] = None,
 ) -> Iterator[Substitution]:
@@ -99,33 +90,23 @@ def satisfy_body(
     done are enumerated over ``domain``.
 
     ``plan`` reorders the positive premises given the variables bound
-    on entry (the engines pass a cost-aware planner closed over live
-    relation statistics); ``optimize`` without a ``plan`` falls back to
-    :func:`greedy_positive_order`.  ``first``, one of the body's
-    positive premises (by identity), is joined before all the others,
-    and a ``plan`` is then called as ``plan(positives, bound, first)``:
-    a semi-naive round passes the premise it restricts to the delta, so
-    that round's enumeration is bounded by the delta.  The order is
-    fixed when this is called and the returned iterator matches lazily,
-    one generator frame per premise: the top-down engine recurses
-    through it once per hypothetical level, so its frames bound how
-    deep that search goes.
+    on entry (the engines pass one from their
+    :class:`~repro.analysis.planner.JoinPlanner`); without one they are
+    joined in textual order.  ``first``, one of the body's positive
+    premises (by identity), is handed to the plan, which joins it
+    before all the others: a semi-naive round passes the premise it
+    restricts to the delta, so that round's enumeration is bounded by
+    the delta.  The order is fixed when this is called and the
+    returned iterator matches lazily, one generator frame per premise:
+    the top-down engine recurses through it once per hypothetical
+    level, so its frames bound how deep that search goes.
     """
     ordered = ordered_premises(body)
-    if plan is not None or optimize or first is not None:
+    if plan is not None:
         positives = [item for item in ordered if isinstance(item, Positive)]
         rest = [item for item in ordered if not isinstance(item, Positive)]
         seed = binding.keys() if binding else ()
-        if plan is not None:
-            if first is None:
-                positives = plan(positives, seed)
-            else:
-                positives = plan(positives, seed, first)
-        elif optimize:
-            positives = greedy_positive_order(positives, seed, first)
-        else:
-            positives = [first, *(item for item in positives if item is not first)]
-        ordered = list(positives) + rest
+        ordered = [*plan(positives, seed, first), *rest]
     first_negation = next(
         (index for index, premise in enumerate(ordered)
          if isinstance(premise, Negated)),

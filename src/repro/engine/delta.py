@@ -67,6 +67,11 @@ retraction kills (DRed's over-delete pass), and then re-enters
 :func:`close_layer` with ``seed_delta`` holding the re-derived
 survivors plus the additions — so forward and backward maintenance
 share one firing semantics by construction.
+
+Join order is not decided here: the closing engine hands in one
+``plan`` from its :class:`~repro.analysis.planner.JoinPlanner`, and
+every rule firing, forward or backward, asks it for the order of its
+positive premises.
 """
 
 from __future__ import annotations
@@ -149,17 +154,16 @@ def rule_firings(
     negated,
     domain: Sequence[Constant],
     hypothetical_delta=None,
-    optimize: bool = False,
-    plan=None,
+    plan,
     record=None,
 ) -> Iterator[Atom]:
     """Head instances of one rule evaluation, shared firing semantics.
 
     ``target`` restricts one premise (matched by identity) to ``delta``
     — the semi-naive discipline.  A :class:`~repro.core.ast.Positive`
-    target matches the delta instead of the full interpretation, and is
-    joined first, then the rest in ``plan``'s order: the delta binds its
-    variables, so the round enumerates what the delta reaches rather
+    target matches the delta instead of the full interpretation, and
+    ``plan`` joins it first, then the rest in its order: the delta binds
+    its variables, so the round enumerates what the delta reaches rather
     than what the whole relation does (a planner sizes premises per
     predicate and cannot tell the target from the other premises over
     its predicate).  A hypothetical target goes through
@@ -204,7 +208,6 @@ def rule_firings(
         negated=negated,
         ground_first=guards,
         domain=domain,
-        optimize=optimize,
         plan=plan,
         first=first,
     )
@@ -308,8 +311,7 @@ def close_layer(
     hypothetical_delta: Optional[DeltaHypotheticalExpander] = None,
     strategy: str = "seminaive",
     seed_delta: Optional[Interpretation] = None,
-    plan=None,
-    optimize: bool = False,
+    plan,
     instruments: Optional[LayerInstruments] = None,
     tracer: Tracer = NULL_TRACER,
     budget=NULL_BUDGET,
@@ -391,7 +393,6 @@ def close_layer(
             hypothetical_delta=hypothetical_delta,
             negated=negated,
             domain=domain,
-            optimize=optimize,
             plan=plan,
             record=record,
         )

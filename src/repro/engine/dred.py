@@ -26,7 +26,8 @@ processed bottom-up and classified per change:
   to the deleted delta and the rest against the *pre-change* state —
   the exact mirror image of the semi-naive discipline, through the
   same :func:`~repro.engine.delta.rule_firings` helper, with the
-  delta-restricted premise joined first — collecting
+  delta-restricted premise joined first and the rest in the engine's
+  planned order, as in every closure — collecting
   every derivation a deleted atom supported.  Atoms with remaining EDB
   support (present in ``DB'``) are never deleted.  *Re-derive* then
   checks each over-deleted atom for an alternative derivation from the
@@ -180,7 +181,7 @@ def patch_stratum(
     removed: dict[str, set[Atom]],
     added: dict[str, set[Atom]],
     *,
-    optimize: bool = False,
+    plan,
     instruments: Optional[DredInstruments] = None,
     budget=NULL_BUDGET,
 ) -> tuple[set[Atom], Interpretation]:
@@ -197,7 +198,9 @@ def patch_stratum(
 
     ``removed``/``added`` map predicates to the net atom-level changes
     accumulated from the EDB diff and the lower strata.  ``old`` is the
-    pre-change model, read in place.
+    pre-change model, read in place.  ``plan`` (see
+    :func:`~repro.engine.body.satisfy_body`) orders the joins of both
+    passes.
     """
     reads: set[str] = set()
     prep = []
@@ -252,6 +255,7 @@ def patch_stratum(
                     hypothetical=_no_hypothetical,
                     negated=_no_negated,
                     domain=domain,
+                    plan=plan,
                 ):
                     if n_overdelete is not None:
                         n_overdelete.value += 1
@@ -310,7 +314,7 @@ def patch_stratum(
                     binding=binding,
                     ground_first=guards,
                     domain=domain,
-                    optimize=optimize,
+                    plan=plan,
                 ),
                 None,
             )
@@ -373,7 +377,7 @@ class DredDriver:
         source: DredSource,
         close: Callable[..., None],
         *,
-        optimize: bool,
+        plan,
         tracer,
         budget,
     ) -> None:
@@ -381,7 +385,7 @@ class DredDriver:
         closed]``) with the model at ``db`` by patching the pre-change
         state in ``source`` instead of running the fixpoint from
         scratch; ``close(index, seed_delta=None)`` closes one stratum of
-        the frame.
+        the frame, and ``plan`` orders the joins of the patches.
 
         Strata the source has closed are skipped (no relevant change),
         DRed-patched (purely positive), or re-closed and diffed
@@ -452,7 +456,7 @@ class DredDriver:
                     domain,
                     removed_acc,
                     added_acc,
-                    optimize=optimize,
+                    plan=plan,
                     instruments=self._instruments,
                     budget=budget,
                 )

@@ -9,9 +9,15 @@ call's budget is active for its duration, ``KeyboardInterrupt`` and
 ``RecursionError`` become :class:`~repro.core.errors.ResourceExhausted`,
 an exhaustion is counted (``budget.exhausted``) and traced (a
 ``budget`` event), and the engine's in-flight search state is cleared
-on every exit.  An engine supplies only that in-flight state
-(:meth:`~GovernedEngine._clear_inflight`) and the partial result an
-interrupted call attaches (:meth:`~GovernedEngine._attach_partial`).
+on every exit.  It also owns the one lifetime rule of the engines'
+two-generation state: every exit rotates the engine's
+:class:`~repro.analysis.planner.JoinPlanner` memo (and, in the model
+engine, its model cache and column store), so each keeps what the last
+two calls touched.  An engine supplies only its in-flight state
+(:meth:`~GovernedEngine._clear_inflight`), the partial result an
+interrupted call attaches (:meth:`~GovernedEngine._attach_partial`)
+and, beyond the planner, what it rotates
+(:meth:`~GovernedEngine._next_generation`).
 
 :class:`GoalDirectedEngine` is the goal search of the two
 goal-directed engines: the paper's PROVE_Σ (§5.2.1) made
@@ -31,7 +37,10 @@ with
   stored rows, then derived instances; a hypothetical premise moves
   through :meth:`~repro.core.database.Database.child`; a negation is
   refuted when no instance matches;
-* one join-plan memo.
+* the join planner, which sizes premises by their stored rows plus an
+  estimate for predicates with rules
+  (:func:`~repro.analysis.planner.idb_aware_sizes`), and counts its memo
+  lookups in ``*.plan_cache_*``.
 
 Every variable is grounded over the query's ``dom(R, DB)``, through
 every hypothetical (docs/INCREMENTAL.md): a searched goal naming a
@@ -47,7 +56,7 @@ from contextlib import contextmanager
 from functools import partial
 from typing import Iterator, Optional, Union
 
-from ..analysis.planner import annotate_plan, idb_aware_sizes
+from ..analysis.planner import JoinPlanner
 from ..core.ast import Hypothetical, Negated, Positive, Premise, Rule, Rulebase
 from ..core.database import Database
 from ..core.errors import EvaluationError, ResourceExhausted
@@ -56,12 +65,7 @@ from ..core.terms import Atom, Constant
 from ..core.unify import Substitution, ground_instances, match
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_SPAN, NULL_TRACER, Tracer
-from .body import (
-    cost_aware_positive_order,
-    join_mode,
-    nonlocal_variables,
-    satisfy_body,
-)
+from .body import nonlocal_variables, satisfy_body
 from .budget import NULL_BUDGET, cancelled_error, depth_error
 from .domain import Domain
 
@@ -78,10 +82,12 @@ def premise_db(premise: Premise, db: Database) -> Database:
 
 
 class GovernedEngine:
-    """Budget activation, the interrupt contract and ``dom(R, DB)``.
+    """Budget activation, the interrupt contract, the state's lifetime
+    and ``dom(R, DB)``.
 
-    Subclasses set ``_rulebase``, ``_dom``, ``_budget``, ``_tracer``
-    and ``metrics``.
+    Subclasses set ``_rulebase``, ``_dom``, ``_budget``, ``_tracer``,
+    ``metrics`` and ``_joins`` (their
+    :class:`~repro.analysis.planner.JoinPlanner`).
     """
 
     @property
@@ -102,7 +108,8 @@ class GovernedEngine:
         (``partial_answers``, when given, is the answer set the call is
         filling), and clears the in-flight state on every exit, so an
         interrupted call neither loses its work nor poisons the next
-        one.
+        one.  Every exit also starts a new generation of the engine's
+        two-generation state (:meth:`_next_generation`).
         """
         previous = self._budget
         active = budget if budget is not None else previous
@@ -124,6 +131,7 @@ class GovernedEngine:
         finally:
             self._budget = previous
             self._clear_inflight()
+            self._next_generation()
 
     def _note_exhaustion(
         self, error: ResourceExhausted, partial_answers: Optional[set]
@@ -148,6 +156,11 @@ class GovernedEngine:
     def _clear_inflight(self) -> None:
         """Drop the search state that must not outlive a call."""
         raise NotImplementedError
+
+    def _next_generation(self) -> None:
+        """Drop what the call before this one touched and this one did
+        not: by default, the join orders it planned."""
+        self._joins.rotate()
 
 
 class GoalDirectedEngine(GovernedEngine):
@@ -183,7 +196,6 @@ class GoalDirectedEngine(GovernedEngine):
         self._rulebase = rulebase
         self._dom = Domain(rulebase.constants())
         self._memoize = memoize
-        self._join_mode = join_mode(optimize_joins)
         # Definition 3's ground-before-negation variables, per rule.
         self._ground_first = {
             id(item): nonlocal_variables(item) for item in rulebase.rules
@@ -197,7 +209,6 @@ class GoalDirectedEngine(GovernedEngine):
         self._proven: dict[tuple[Atom, Database], tuple[Rule, Substitution]] = {}
         self._refuted: set[tuple[Atom, Database]] = set()
         self._models: dict = {}
-        self._plans: dict[tuple, tuple[int, ...]] = {}
         self._path: set[tuple[Atom, Database]] = set()
         self._cycle_events = 0
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -208,8 +219,13 @@ class GoalDirectedEngine(GovernedEngine):
         self._n_goals = counter(goals)
         self._n_cache_hits = counter(cache_hits)
         self._n_cycles_cut = counter(f"{prefix}.cycles_cut")
-        self._n_plan_hits = counter(f"{prefix}.plan_cache_hits")
-        self._n_plan_misses = counter(f"{prefix}.plan_cache_misses")
+        self._joins = JoinPlanner(
+            optimize_joins,
+            rulebase=rulebase,
+            hits=counter(f"{prefix}.plan_cache_hits"),
+            misses=counter(f"{prefix}.plan_cache_misses"),
+            tracer=self._tracer,
+        )
         self._n_negation = counter(f"{prefix}.negation_tests")
         self._n_hypo = counter(f"{prefix}.hypothesis_expansions")
         self._g_max_depth = self.metrics.gauge(f"{prefix}.max_depth")
@@ -218,7 +234,7 @@ class GoalDirectedEngine(GovernedEngine):
         for tables in self._tables.values():
             for table in tables:
                 table.clear()
-        self._plans.clear()
+        self._joins.clear()
 
     def _clear_inflight(self) -> None:
         # The goal path: left behind by an interrupted query, it would
@@ -346,6 +362,7 @@ class GoalDirectedEngine(GovernedEngine):
             if trace.enabled
             else NULL_SPAN
         )
+        plan = self._joins.at(db.count, len(self._domain))
         with goal_ctx:
             for item in rules:
                 binding = match(item.head, goal)
@@ -366,8 +383,7 @@ class GoalDirectedEngine(GovernedEngine):
                             binding=binding,
                             ground_first=self._ground_first[id(item)],
                             domain=self._domain,
-                            optimize=self._join_mode == "greedy",
-                            plan=self._planner(db),
+                            plan=plan,
                         ),
                         None,
                     )
@@ -454,62 +470,3 @@ class GoalDirectedEngine(GovernedEngine):
         negation, hence quantified inside it."""
         self._n_negation.value += 1
         return next(self._match(db, pattern, binding), None) is None
-
-    def _planner(self, db: Database):
-        """The cost-aware join planner at ``db``, or ``None`` when the
-        engine runs another join mode."""
-        if self._join_mode != "cost":
-            return None
-        return partial(self._plan, db)
-
-    def _plan(
-        self,
-        db: Database,
-        positives: list[Positive],
-        bound,
-        first: Optional[Positive] = None,
-    ) -> list[Positive]:
-        """The positive premises in cost order.
-
-        Memoized on exactly what
-        :func:`~repro.analysis.planner.cost_aware_positive_order`
-        reads: the premises, the bound variables, the pinned ``first``
-        (by position), the premises' stored sizes and the domain size.
-        The memo holds the order as positions, so a hit returns the
-        caller's own premise objects.
-        """
-        count = db.count
-        domain_size = len(self._domain)
-        pinned = None
-        if first is not None:
-            pinned = next(
-                index for index, item in enumerate(positives) if item is first
-            )
-        key = (
-            tuple(positives),
-            frozenset(bound),
-            pinned,
-            tuple(count(item.atom.predicate) for item in positives),
-            domain_size,
-        )
-        order = self._plans.get(key)
-        if order is not None:
-            self._n_plan_hits.value += 1
-            return [positives[index] for index in order]
-        self._n_plan_misses.value += 1
-        sizes = idb_aware_sizes(self._rulebase, count, domain_size)
-        planned = cost_aware_positive_order(
-            positives, bound, sizes, domain_size, first
-        )
-        position = {id(item): index for index, item in enumerate(positives)}
-        self._plans[key] = tuple(position[id(item)] for item in planned)
-        trace = self._tracer
-        if trace.enabled and planned:
-            trace.event(
-                "plan",
-                " ".join(item.atom.predicate for item in planned),
-                args={
-                    "order": annotate_plan(planned, bound, sizes, domain_size)
-                },
-            )
-        return planned

@@ -45,9 +45,11 @@ source string (identical rule shapes across engines share one
 (rule, premise order, delta position, record mode); encoded relations
 are cached per engine keyed by the copy-on-write frozenset object, so
 one encode pass serves every lattice child that shares the relation.
-Cost-planned join orders are memoized per engine on (rule, positive
-relation sizes, domain size); encodings and orders both keep what the
-engine's last two calls used.
+Encodings keep what the engine's last two calls used.  Join orders are
+the engine's :class:`~repro.analysis.planner.JoinPlanner`'s: a run asks
+its ``plan`` once per rule per model, at the rule's stratum's sizes, so
+the planner's memo serves the kernels and the interpreted closures
+alike.
 """
 
 from __future__ import annotations
@@ -57,8 +59,6 @@ from typing import Callable, Optional, Sequence
 from ..analysis.planner import (
     KernelPlan,
     KernelUnsupported,
-    cost_aware_positive_order,
-    greedy_positive_order,
     kernel_plan,
     nonlocal_variables,
     ordered_premises,
@@ -66,7 +66,6 @@ from ..analysis.planner import (
 from ..core.ast import Hypothetical, Positive, Rule
 from ..core.columns import ColumnStore, RelationView
 from ..core.errors import EvaluationError
-from ..core.generations import TwoGenerations
 from ..core.interning import SymbolTable
 from ..core.terms import Constant, Variable
 from ..obs.metrics import Counter
@@ -414,7 +413,7 @@ class _RuleSpec:
         self.rule = item
         self.key = id(item)
         ordered = ordered_premises(item.body)
-        self.positives = [p for p in ordered if isinstance(p, Positive)]
+        self.positives = tuple(p for p in ordered if isinstance(p, Positive))
         self.rest = [p for p in ordered if not isinstance(p, Positive)]
         self.default_order = ordered
         self.guards = nonlocal_variables(item)
@@ -480,13 +479,13 @@ class _Hypothesis:
 
 
 class KernelProgram:
-    """Per-engine kernel state: symbols, encode cache, compiled kernels,
-    join orders.
+    """Per-engine kernel state: symbols, encode cache, compiled kernels.
 
     One program lives as long as its engine; its :class:`SymbolTable`
     ids are therefore stable across the whole hypothesis lattice the
-    engine explores, and its encoded relations and memoized join orders
-    keep what the engine's last two calls used (:meth:`next_generation`).
+    engine explores, and its encoded relations keep what the engine's
+    last two calls used (``store``'s
+    :meth:`~repro.core.columns.ColumnStore.next_generation`).
     """
 
     def __init__(self, metrics=None) -> None:
@@ -510,9 +509,6 @@ class KernelProgram:
         self._kernels: dict[tuple, Optional[Callable]] = {}
         self._sources: dict[int, dict[tuple, str]] = {}
         self._domain_ids: Optional[tuple] = None
-        # Cost-planned join orders: (rule id, positive premises'
-        # relation sizes, domain size) -> (premise order, body positions).
-        self._plans = TwoGenerations()
 
     def domain_ids(self, domain) -> list[int]:
         """Interned ids for a domain sequence, cached by identity.
@@ -551,46 +547,6 @@ class KernelProgram:
     def hypothesis(self, premise: Hypothetical) -> _Hypothesis:
         """The call-back template of a compiled rule's premise."""
         return self._hypotheses[id(premise)]
-
-    def cost_order(self, spec: _RuleSpec, count, domain_size: int) -> tuple:
-        """The cost-aware join order of a rule's body at the relation
-        sizes ``count`` reports, as ``(premises, body positions)``.
-
-        The planner reads nothing but the sizes of the positive
-        premises' relations and the domain size, so the order is
-        memoized on those and the rule's identity: lattice children
-        with equal sizes share one plan.  Positions are by identity
-        (kernels map plan entries back to the body by ``id``), which is
-        why the key is the rule and not a value-equal premise list.
-        """
-        sizes = tuple(
-            [count(premise.atom.predicate) for premise in spec.positives]
-        )
-        key = (spec.key, sizes, domain_size)
-        found = self._plans.get(key)
-        if found is None:
-            ordered = (
-                cost_aware_positive_order(spec.positives, (), count, domain_size)
-                + spec.rest
-            )
-            index_of = spec.index_of
-            found = self._plans[key] = (
-                ordered,
-                tuple(index_of[id(p)] for p in ordered),
-            )
-        return found
-
-    @property
-    def cached_plans(self) -> int:
-        """Join orders held: what the last two generations planned."""
-        return len(self._plans)
-
-    def next_generation(self) -> None:
-        """Drop the previous generation of encoded relations and join
-        orders and make the current one previous; each is left as it
-        is by a call that did not touch it."""
-        self.store.next_generation()
-        self._plans.rotate()
 
     def kernel(
         self,
@@ -653,7 +609,7 @@ class KernelRun:
     Built by an engine once per model it computes and shared by every
     :func:`repro.engine.delta.close_layer` call that closes one of the
     model's strata; carries the live interpretation/database/domain,
-    the engine's planning mode and counters, and per-model caches of
+    the engine's ``plan`` and counters, and per-model caches of
     :class:`RelationView` objects, join orders, resolved kernels,
     hypothesis hooks and recursion-case decisions.  The closure loop
     calls :meth:`begin_round` at round headers, :meth:`fire` in
@@ -672,8 +628,7 @@ class KernelRun:
         "interp",
         "db",
         "domain",
-        "cost",
-        "optimize",
+        "plan",
         "record",
         "neg",
         "probes",
@@ -698,8 +653,7 @@ class KernelRun:
         interp,
         db=None,
         domain=(),
-        cost: bool = False,
-        optimize: bool = False,
+        plan=None,
         record=None,
         negation: Optional[Counter] = None,
         probes: Optional[Counter] = None,
@@ -709,8 +663,7 @@ class KernelRun:
         self.interp = interp
         self.db = db
         self.domain = domain
-        self.cost = cost
-        self.optimize = optimize
+        self.plan = plan
         self.record = record
         self.neg = negation if negation is not None else Counter("kernel.negation")
         self.probes = probes if probes is not None else Counter("kernel.probes")
@@ -724,9 +677,9 @@ class KernelRun:
         self._delta_views: dict[str, RelationView] = {}
         self._db_rowsets: dict[str, frozenset] = {}
         # Per-model memos: join order (planned once per rule, at its
-        # stratum's relation sizes; order never changes the head
-        # multiset, only enumeration cost) and resolved kernels per
-        # (rule, delta target).
+        # stratum's relation sizes, textual without a ``plan``; order
+        # never changes the head multiset, only enumeration cost) and
+        # resolved kernels per (rule, delta target).
         self._orders: dict[int, tuple] = {}
         self._kerns: dict[tuple, Optional[Callable]] = {}
         # Recursion-case decisions by premise shape; (hook, memo) by
@@ -754,20 +707,13 @@ class KernelRun:
         if kern is _MISSING:
             order = self._orders.get(spec.key)
             if order is None:
-                if self.cost:
-                    order = program.cost_order(
-                        spec, self.interp.count, len(self.domain)
-                    )
-                else:
-                    if self.optimize:
-                        ordered = (
-                            list(greedy_positive_order(spec.positives, ()))
-                            + spec.rest
-                        )
-                    else:
-                        ordered = spec.default_order
-                    order = (ordered, tuple(index_of[id(p)] for p in ordered))
-                self._orders[spec.key] = order
+                ordered = spec.default_order
+                if self.plan is not None:
+                    ordered = [*self.plan(spec.positives, ()), *spec.rest]
+                order = self._orders[spec.key] = (
+                    ordered,
+                    tuple([index_of[id(p)] for p in ordered]),
+                )
             ordered, order_key = order
             kern = program.kernel(
                 spec, ordered, order_key, target_key, self.record is not None

@@ -92,7 +92,10 @@ its parents, and evicting mid-query would trade 2^n models for up to
 n! recomputations.  Eviction is sound because a model is a function of
 its database and domain: a dropped one is recomputed if asked for
 again.  A call that looks up no model (a provenance replay) leaves
-both generations as they are.
+both generations as they are.  The join planner's memo and the
+kernels' encoded relations keep two generations by the same rule, and
+the governed call front the three engines share
+(:mod:`repro.engine.front`) rotates all three.
 
 A top-level cache miss starts from the engine's previous top-level
 model (its *lineage*), which is held apart from the cache so retention
@@ -116,6 +119,7 @@ from typing import (
     Union,
 )
 
+from ..analysis.planner import JoinPlanner
 from ..core.ast import Hypothetical, Negated, Positive, Premise, Rule, Rulebase
 from ..core.database import Database
 from ..core.errors import EvaluationError, InvariantViolation, ResourceExhausted
@@ -132,7 +136,6 @@ from ..obs.provenance import (
 )
 from ..obs.trace import NULL_TRACER, Tracer
 from ..testing import failpoints as _failpoints
-from .body import cost_aware_positive_order, join_mode
 from .budget import NULL_BUDGET
 from .delta import Layer, LayerInstruments, close_layer, seed_layers
 from .domain import Domain
@@ -199,7 +202,9 @@ class PerfectModelEngine(GovernedEngine):
         semantics-neutral.  ``True``/``"cost"`` orders by estimated
         binding selectivity against live relation sizes, ``"greedy"``
         keeps the legacy most-bound-first policy, ``False`` evaluates
-        in textual order.
+        in textual order.  The engine's one
+        :class:`~repro.analysis.planner.JoinPlanner` orders every join:
+        interpreted closures, compiled kernels and DRed's patches.
     strategy:
         Stratum-closure discipline: ``"seminaive"`` (differential, the
         default) or ``"naive"`` (exhaustive baseline for the E18
@@ -354,7 +359,7 @@ class PerfectModelEngine(GovernedEngine):
         self._call_models = 0
         self._memoize = memoize
         self._optimize_joins = optimize_joins
-        self._join_mode = join_mode(optimize_joins)
+        self._joins = JoinPlanner(optimize_joins)
         self._demand_mode = demand
         # Set on demand delegates only (see _derived).
         self._demand_seeds: dict[str, str] = {}
@@ -889,29 +894,27 @@ class PerfectModelEngine(GovernedEngine):
 
         Each call is one generation of the model cache: the models it
         computes count against ``max_databases``, and on the way out
-        the cache drops what the previous call touched and this one
-        did not.
+        the governed front drops what the previous call touched and
+        this one did not (:meth:`_next_generation`).
         """
         if self._degraded:
             self._note_degraded()
         self._call_models = 0
-        try:
-            with self._governed(budget):
-                try:
-                    return thunk()
-                except InvariantViolation as error:
-                    self._fall_back(error)
-                    return thunk()
-        finally:
-            self._next_generation()
+        with self._governed(budget):
+            try:
+                return thunk()
+            except InvariantViolation as error:
+                self._fall_back(error)
+                return thunk()
 
     def _next_generation(self) -> None:
         """Drop the previous generation and make the current one
-        previous, in the model cache and in the kernels' encodings and
-        join orders; each is left as it is by a call that did not touch
-        it."""
+        previous, in the join planner's memo, the model cache and the
+        kernels' encodings; each is left as it is by a call that did
+        not touch it."""
+        super()._next_generation()
         if self._kernel_program is not None:
-            self._kernel_program.next_generation()
+            self._kernel_program.store.next_generation()
         self._n_evictions.value += self._cache.rotate()
 
     @property
@@ -1213,7 +1216,8 @@ class PerfectModelEngine(GovernedEngine):
         )
         if self._reuse and parent is None and dred is None:
             parent, dred = self._lineage(db, domain)
-        close = self._closer(frame, db, domain, record)
+        plan = self._joins.at(interp.count, len(domain))
+        close = self._closer(frame, db, domain, record, plan)
         if parent is None and dred is not None and record is None:
             self._dred.fill(
                 frame,
@@ -1221,7 +1225,7 @@ class PerfectModelEngine(GovernedEngine):
                 domain,
                 dred,
                 close,
-                optimize=self._join_mode == "greedy",
+                plan=plan,
                 tracer=self._tracer,
                 budget=self._budget,
             )
@@ -1272,22 +1276,15 @@ class PerfectModelEngine(GovernedEngine):
         db: Database,
         domain: Sequence[Constant],
         record,
+        plan,
     ) -> Callable[..., None]:
-        """One model's closure context: the premise callbacks, planner
-        and kernel run that every stratum of the model shares, built
-        once per model.  Returns ``close(index, seed_delta=None,
-        into=None)``, which closes stratum ``index`` over the frame's
-        interpretation (see :func:`~repro.engine.delta.close_layer`)."""
+        """One model's closure context: the premise callbacks and kernel
+        run that every stratum of the model shares, built once per
+        model, joining in ``plan``'s order.  Returns ``close(index,
+        seed_delta=None, into=None)``, which closes stratum ``index``
+        over the frame's interpretation (see
+        :func:`~repro.engine.delta.close_layer`)."""
         interp = frame[0]
-        plan = None
-        if self._join_mode == "cost":
-            domain_size = len(domain)
-
-            def plan(positives, bound, first=None):
-                return cost_aware_positive_order(
-                    positives, bound, interp.count, domain_size, first
-                )
-
         n_negation = self._n_negation
 
         def negated(pattern: Atom, current: Substitution) -> bool:
@@ -1346,8 +1343,7 @@ class PerfectModelEngine(GovernedEngine):
                 interp=interp,
                 db=db,
                 domain=domain,
-                cost=self._join_mode == "cost",
-                optimize=self._join_mode == "greedy",
+                plan=plan,
                 record=record,
                 negation=self._n_negation,
                 probes=self._n_probes,
@@ -1356,7 +1352,6 @@ class PerfectModelEngine(GovernedEngine):
 
         layers = self._layers
         strategy = self._strategy
-        optimize = self._join_mode == "greedy"
         instruments = self._layer_instruments
         tracer = self._tracer
         budget = self._budget
@@ -1377,7 +1372,6 @@ class PerfectModelEngine(GovernedEngine):
                 strategy=strategy,
                 seed_delta=seed_delta,
                 plan=plan,
-                optimize=optimize,
                 instruments=instruments,
                 tracer=tracer,
                 budget=budget,

@@ -10,10 +10,12 @@ applications that motivated hypothetical rules in the first place) a
   recorded on the edge); negated premises carry no subproof — negation
   by failure has no finite constructive witness — but are recorded and
   re-checked by the verifier.
-* :class:`Explainer` — reconstructs a proof for any provable goal
+* :func:`explain_with` — reconstructs a proof for any provable goal
   from the top-down search itself: a :class:`TopDownEngine` decides
   the query once, and each proven goal's table entry (the rule and
-  binding that proved it) becomes a proof node.
+  binding that proved it) becomes a proof node.  :class:`Explainer`
+  runs it on an engine of its own; a top-down
+  :class:`~repro.engine.query.Session` runs it on the session's.
 * :func:`verify_proof` — an *independent* checker: it validates every
   node against Definition 3 without consulting the explainer (negated
   premises are re-evaluated with a fresh engine).
@@ -40,7 +42,10 @@ from .body import ordered_premises
 from .front import premise_db
 from .topdown import TopDownEngine
 
-__all__ = ["Proof", "PremiseStep", "Explainer", "verify_proof", "format_proof"]
+__all__ = [
+    "Proof", "PremiseStep", "Explainer", "explain_with", "verify_proof",
+    "format_proof",
+]
 
 
 @dataclass(frozen=True)
@@ -125,29 +130,45 @@ class Explainer:
     def explain(
         self, db: Database, query: Union[str, Atom, Premise], *, budget=None
     ) -> Optional[Proof]:
-        """A proof of the query at ``db``, or ``None`` if unprovable.
+        """A proof of the query at ``db``, or ``None`` if unprovable
+        (:func:`explain_with`); ``budget`` overrides the one given at
+        construction for this explanation."""
+        return explain_with(self._engine, db, query, budget=budget)
 
-        Accepts the same query forms as the engines.  For a
-        hypothetical query the returned proof is rooted at the updated
-        database; for a negated query there is nothing to return, and
-        :class:`EvaluationError` is raised (negation has no witness).
-        ``budget`` (a :class:`~repro.engine.budget.Budget`) overrides
-        the one given at construction for this explanation; it bounds
-        the whole proof search, so a runaway search trips it exactly
-        as a runaway query would (docs/ROBUSTNESS.md).
-        """
-        premise = as_premise(query)
-        if isinstance(premise, Negated):
-            raise EvaluationError(
-                "negated queries have no constructive proof to explain"
-            )
-        engine = self._engine
-        grounded = engine._witness(db, premise, budget)
-        if grounded is None:
-            return None
-        return _read_proof(
-            engine._proven, grounded.atom, premise_db(grounded, db), {}
+
+def explain_with(
+    engine: TopDownEngine,
+    db: Database,
+    query: Union[str, Atom, Premise],
+    *,
+    budget=None,
+) -> Optional[Proof]:
+    """A proof of the query at ``db`` read from ``engine``'s search, or
+    ``None`` if unprovable.
+
+    One governed call of the engine decides the query, as ``ask``
+    would, so what the engine has already decided is a table hit; the
+    proof is then read from its proven table.  Accepts the same query
+    forms as the engines.  For a hypothetical query the returned proof
+    is rooted at the updated database; for a negated query there is
+    nothing to return, and :class:`EvaluationError` is raised (negation
+    has no witness).  ``budget`` (a
+    :class:`~repro.engine.budget.Budget`) overrides the engine's own for
+    this explanation; it bounds the whole proof search, so a runaway
+    search trips it exactly as a runaway query would
+    (docs/ROBUSTNESS.md).
+    """
+    premise = as_premise(query)
+    if isinstance(premise, Negated):
+        raise EvaluationError(
+            "negated queries have no constructive proof to explain"
         )
+    grounded = engine._witness(db, premise, budget)
+    if grounded is None:
+        return None
+    return _read_proof(
+        engine._proven, grounded.atom, premise_db(grounded, db), {}
+    )
 
 
 def _read_proof(proven: dict, goal: Atom, db: Database, built: dict) -> Proof:

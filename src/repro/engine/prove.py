@@ -252,6 +252,7 @@ class LinearStratifiedProver(GoalDirectedEngine):
                 return not interp.has_match(pattern, current)
             return self._refute(db, pattern, current)
 
+        plan = self._joins.at(db.count, len(self._domain))
         trace = self._tracer
         if trace.enabled:
             args = {"db": len(db)}
@@ -279,8 +280,7 @@ class LinearStratifiedProver(GoalDirectedEngine):
                         positive=positive,
                         negated=negated,
                         hypothetical=partial(self._hypothesize, db),
-                        plan=self._planner(db),
-                        optimize=self._join_mode == "greedy",
+                        plan=plan,
                         instruments=self._delta_instruments,
                         tracer=trace,
                         budget=self._budget,

@@ -183,6 +183,7 @@ class Session:
         self._demand = demand
         self._compile = compile_mode(compile)
         self._prov_engine: Optional[PerfectModelEngine] = None
+        self._explain_engine: Optional[TopDownEngine] = None
         if engine == "auto":
             engine = "prove" if is_linearly_stratified(rulebase) else "topdown"
         if engine == "prove":
@@ -265,20 +266,27 @@ class Session:
 
     def explain(self, db: Database, query: Query, *, budget=None):
         """A :class:`~repro.engine.proofs.Proof` for a provable query,
-        or ``None``.  Backed by a lazily created Explainer (shared
-        across calls so its caches persist) that reports into this
-        session's metrics and tracer; ``budget`` bounds the proof
-        search (docs/ROBUSTNESS.md)."""
-        if not hasattr(self, "_explainer"):
-            from .proofs import Explainer
+        or ``None`` (:func:`~repro.engine.proofs.explain_with`).
 
-            self._explainer = Explainer(
-                self._rulebase,
-                budget=self._budget,
-                metrics=self._engine.metrics,
-                tracer=self._tracer,
-            )
-        return self._explainer.explain(db, query, budget=budget)
+        A top-down session reads the proof from its own engine, so a
+        query it has decided costs a table read.  Other sessions use a
+        lazily created top-down engine (shared across calls so its
+        tables persist) that reports into this session's metrics and
+        tracer.  ``budget`` bounds the proof search
+        (docs/ROBUSTNESS.md)."""
+        from .proofs import explain_with
+
+        engine = self._engine
+        if not isinstance(engine, TopDownEngine):
+            if self._explain_engine is None:
+                self._explain_engine = TopDownEngine(
+                    self._rulebase,
+                    metrics=engine.metrics,
+                    tracer=self._tracer,
+                    budget=self._budget,
+                )
+            engine = self._explain_engine
+        return explain_with(engine, db, query, budget=budget)
 
     # -- provenance explanations (docs/OBSERVABILITY.md) ----------------
 

@@ -10,7 +10,7 @@ needs a handful of facts.
 
 This engine decides goals instead, with the goal search of
 :class:`~repro.engine.front.GoalDirectedEngine` (tabling, cycle
-cutting, the premise deciders and the plan memo it shares with PROVE_Σ)
+cutting, the premise deciders and the join planner, as in PROVE_Σ)
 run over every predicate with rules, ``[del:]`` premises included.
 Negation-as-failure refutes the negated atom's instances exhaustively;
 soundness needs classic stratified negation (checked at construction):

@@ -7,14 +7,15 @@ over the query's ``dom(R, DB)`` through every hypothetical
 applies to, that what a long-lived engine decided over one domain never
 answers under another, that a query's ``[del:]`` moves through
 ``Database.child`` on PROVE too, that the join-plan memo plans once per
-shape and hands back the caller's own premises, and that an
-explanation costs what its decision costs.
+shape, hands back the caller's own premises and keeps what the last two
+calls planned, and that an explanation costs what its decision costs.
 """
 
 import pytest
 
 from repro.core.database import Database
 from repro.core.parser import parse_database, parse_program
+from repro.core.terms import atom
 from repro.engine.proofs import Explainer, verify_proof
 from repro.engine.prove import LinearStratifiedProver
 from repro.engine.query import Session
@@ -157,6 +158,25 @@ class TestPlanMemo:
         # p(nk), q(nk) and r(nk) twice (from p and from q).
         assert metrics.counter("prove.delta_firings").value == 4 * n + 1
 
+    @pytest.mark.parametrize("make", [LinearStratifiedProver, TopDownEngine])
+    def test_memo_keeps_what_the_last_two_calls_planned(self, make):
+        """1,000 asks, each at new relation sizes, plan 1,000 orders;
+        the memo keeps those of the last two calls only."""
+        rulebase = parse_program("p(X, Y) :- q(X), e(X, Y).")
+        metrics = MetricsRegistry()
+        engine = make(rulebase, metrics=metrics)
+        memo = engine._joins._memo
+        db = Database([atom("e", f"n{index}", "m") for index in range(0, 1000, 7)])
+        for index in range(1000):
+            db = db.with_facts(atom("q", f"n{index}"))
+            query = f"p(n{index}, m)"
+            assert engine.ask(db, query) is (index % 7 == 0)
+            assert len(memo) <= 2
+        # Between calls the memo holds what the last call planned.
+        assert len(memo) == 1
+        prefix = "prove" if make is LinearStratifiedProver else "topdown"
+        assert metrics.counter(f"{prefix}.plan_cache_misses").value == 1000
+
 
 class TestExplanationCostsItsDecision:
     @pytest.mark.parametrize(
@@ -188,3 +208,16 @@ class TestExplanationCostsItsDecision:
         proof = Explainer(rulebase, metrics=explained).explain(db, query)
         assert proof is not None and verify_proof(rulebase, proof)
         assert explained.snapshot() == decided.snapshot()
+
+    def test_a_top_down_session_explains_what_it_decided(self):
+        """A top-down session reads the proof of a query it has decided
+        from its own tables: no goal is searched again."""
+        rulebase = addition_chain_rulebase(32)
+        session = Session(rulebase, "topdown")
+        db = Database()
+        goals = session.metrics.counter("topdown.goals")
+        assert session.ask(db, "a1") is True
+        assert goals.value == 34
+        proof = session.explain(db, "a1")
+        assert proof is not None and verify_proof(rulebase, proof)
+        assert goals.value == 34

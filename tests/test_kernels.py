@@ -15,10 +15,13 @@ from repro.core.database import Database
 from repro.core.errors import EvaluationError
 from repro.core.parser import parse_program
 from repro.core.terms import atom
+from repro.analysis import planner
+from repro.analysis.planner import cost_aware_positive_order, idb_aware_sizes
+from repro.bench.workloads import random_graph
 from repro.engine.budget import Budget
-from repro.analysis.planner import cost_aware_positive_order
 from repro.engine.kernels import KernelProgram, compile_mode
 from repro.engine.model import PerfectModelEngine
+from repro.engine.prove import LinearStratifiedProver
 from repro.engine.topdown import TopDownEngine
 from repro.library import (
     graduation_db,
@@ -207,34 +210,62 @@ def test_premises_of_different_shapes_keep_separate_decisions(program, facts):
 
 
 # ----------------------------------------------------------------------
-# The join-order memo: exact and bounded
+# The join planner's memo: exact and bounded
 # ----------------------------------------------------------------------
 
 
 def test_memoized_join_orders_equal_fresh_plans():
-    """Every memoized order is the planner's order at the sizes in its
-    key, with the non-positive premises after it."""
-    engine = PerfectModelEngine(hamiltonian_rulebase())
+    """Every order the engine's one planner memo holds is the cost
+    policy's order at its key, as positions into the key's premises:
+    on the compiled and the interpreted model engine and on PROVE."""
+    rulebase = hamiltonian_rulebase()
     nodes = [f"v{i}" for i in range(5)]
-    for shift in (0, 1):  # two calls: both generations hold plans
-        edges = [
-            (a, b) for a in nodes for b in nodes if a < b or b == nodes[shift]
-        ]
-        engine.ask(graph_db(nodes, edges), "yes")
-    program = engine._kernel_program
-    plans = {**program._plans.previous, **program._plans.current}
-    assert plans and program.cached_plans == len(plans)
-    for (rule_id, sizes, domain_size), (ordered, order_key) in plans.items():
-        spec = program._specs[rule_id]
-        size_of = {
-            premise.atom.predicate: size
-            for premise, size in zip(spec.positives, sizes)
-        }
-        fresh = cost_aware_positive_order(
-            spec.positives, (), size_of.__getitem__, domain_size
-        )
-        assert [id(p) for p in ordered] == [id(p) for p in fresh + spec.rest]
-        assert order_key == tuple(spec.index_of[id(p)] for p in ordered)
+    for engine in (
+        PerfectModelEngine(rulebase),
+        PerfectModelEngine(rulebase, compile="off"),
+        LinearStratifiedProver(rulebase),
+    ):
+        for shift in (0, 1):  # two calls: both generations hold plans
+            edges = [
+                (a, b) for a in nodes for b in nodes
+                if a < b or b == nodes[shift]
+            ]
+            engine.ask(graph_db(nodes, edges), "yes")
+        memo = engine._joins._memo
+        plans = {**memo.previous, **memo.current}
+        assert plans and len(memo) == len(plans)
+        goal_directed = isinstance(engine, LinearStratifiedProver)
+        for key, order in plans.items():
+            positives, bound, pinned, sizes, domain_size = key
+            size_of = dict(
+                zip([premise.atom.predicate for premise in positives], sizes)
+            ).__getitem__
+            if goal_directed:
+                size_of = idb_aware_sizes(rulebase, size_of, domain_size)
+            first = None if pinned is None else positives[pinned]
+            fresh = cost_aware_positive_order(
+                positives, bound, size_of, domain_size, first
+            )
+            planned = [positives[index] for index in order]
+            assert [id(p) for p in planned] == [id(p) for p in fresh]
+
+
+@pytest.mark.parametrize("mode", ["on", "off"])
+def test_a_closure_plans_each_key_once(monkeypatch, mode):
+    """Compiled or interpreted, a Hamiltonian ask runs the cost policy
+    once per distinct key: the interpreted closure plans every firing
+    through the same memo the kernels plan each rule through."""
+    calls = []
+    policy = planner.cost_aware_positive_order
+
+    def counted(*args):
+        calls.append(args)
+        return policy(*args)
+
+    monkeypatch.setattr(planner, "cost_aware_positive_order", counted)
+    engine = PerfectModelEngine(hamiltonian_rulebase(), compile=mode)
+    assert engine.ask(graph_db(*random_graph(6, 0.5, seed=7)), "yes") is True
+    assert len(calls) == 10
 
 
 def test_join_order_memo_keeps_what_the_last_two_calls_touched():
@@ -242,16 +273,16 @@ def test_join_order_memo_keeps_what_the_last_two_calls_touched():
     relation sizes, keeps the join orders of its last two calls only."""
     rulebase = parse_program("p(X, Y) :- q(X), e(X, Y).")
     engine = PerfectModelEngine(rulebase)
-    program = engine._kernel_program
+    memo = engine._joins._memo
     db = Database([atom("e", f"n{index}", "m") for index in range(0, 1000, 7)])
     for index in range(1000):
         db = db.with_facts(atom("q", f"n{index}"))
         model = engine.model(db)
         if index % 250 == 0:
             assert model == PerfectModelEngine(rulebase).model(db)
-        assert program.cached_plans <= 2
+        assert len(memo) <= 2
     # Between calls the memo holds what the last call planned: one order.
-    assert program.cached_plans == 1
+    assert len(memo) == 1
 
 
 # ----------------------------------------------------------------------
