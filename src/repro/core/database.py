@@ -21,25 +21,41 @@ by identity.
 
 Pattern matching carries a ground fast path (set membership) and lazy
 per-(predicate, argument-position) hash maps used to narrow candidate
-rows when the pattern has bound positions.
+rows when the pattern has bound positions.  A database builds each
+relation's maps once, and every
+:class:`~repro.engine.interpretation.Interpretation` over it reads
+them: an interpretation is its database plus derived rows, and
+:func:`match_layers` and :func:`index_rows` serve both layers alike.
 """
 
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import (
+    Callable,
+    Collection,
+    Iterable,
+    Iterator,
+    Mapping,
+    Optional,
+    Sequence,
+    Union,
+)
 
 from .errors import ValidationError
 from .terms import Atom, Constant, Term, Variable
 from .unify import Substitution, match_args
 
-__all__ = ["Database"]
+__all__ = ["Database", "index_rows", "match_layers"]
 
 _Payload = Union[str, int]
+_Row = tuple[Term, ...]
+_PositionMaps = list[dict[Term, list[_Row]]]
 
 _HASH_MASK = (1 << 64) - 1
 
-# Below this relation size a linear scan beats building position maps.
+# Below this relation size (summed over its layers) a linear scan beats
+# probing position maps.
 _INDEX_MIN_ROWS = 8
 
 
@@ -78,6 +94,80 @@ def _absent(
     return missing
 
 
+def index_rows(maps: _PositionMaps, rows: Iterable[_Row]) -> _PositionMaps:
+    """Add ``rows`` to per-argument-position maps ``constant -> rows``;
+    returns ``maps``.
+
+    The maps grow to the largest arity indexed; a row shorter than a
+    position does not appear in that position's map, which is correct
+    because matching requires equal arity.
+    """
+    for args in rows:
+        if len(args) > len(maps):
+            maps.extend({} for _ in range(len(args) - len(maps)))
+        for position, value in enumerate(args):
+            maps[position].setdefault(value, []).append(args)
+    return maps
+
+
+def match_layers(
+    pattern: Atom,
+    binding: Optional[Substitution],
+    layers: Sequence[tuple[Collection[_Row], Callable[[str], _PositionMaps]]],
+    probes=None,
+) -> Iterator[Substitution]:
+    """Enumerate extensions of ``binding`` matching ``pattern`` against
+    disjoint layers of one relation, each layer's rows before the
+    next's.
+
+    A layer is ``(rows, position_maps)``: its rows of the pattern's
+    predicate, and the function giving its position maps of that
+    predicate (built on first use).  Ground patterns are decided by set
+    membership; patterns with bound positions, over at least
+    ``_INDEX_MIN_ROWS`` rows in all, probe every layer's maps and scan
+    only the narrowest candidate lists.  ``probes``, when given, is a
+    :class:`~repro.obs.metrics.Counter` bumped once per call that either
+    fast path answers (a probe that finds no candidate row returns
+    uncounted).
+    """
+    pattern_args = pattern.substitute(binding).args if binding else pattern.args
+    bound = [
+        (position, value)
+        for position, value in enumerate(pattern_args)
+        if not isinstance(value, Variable)
+    ]
+    if len(bound) == len(pattern_args):
+        if probes is not None:
+            probes.value += 1
+        for rows, _maps in layers:
+            if pattern_args in rows:
+                yield dict(binding) if binding else {}
+                return
+        return
+    candidates: Sequence[Iterable[_Row]] = [rows for rows, _maps in layers]
+    if bound and sum(map(len, candidates)) >= _INDEX_MIN_ROWS:
+        predicate = pattern.predicate
+        maps = [position_maps(predicate) for _rows, position_maps in layers]
+        fewest = 0
+        for position, value in bound:
+            found = [
+                layer[position].get(value, ()) if position < len(layer) else ()
+                for layer in maps
+            ]
+            size = sum(map(len, found))
+            if not size:
+                return
+            if not fewest or size < fewest:
+                candidates, fewest = found, size
+        if probes is not None:
+            probes.value += 1
+    for rows in candidates:
+        for ground_args in rows:
+            extended = match_args(pattern_args, ground_args, binding)
+            if extended is not None:
+                yield extended
+
+
 class Database:
     """A finite set of ground facts, immutable and hashable."""
 
@@ -104,7 +194,7 @@ class Database:
         self._xor = acc
         self._hash: int | None = None
         self._facts: frozenset[Atom] | None = None
-        self._maps: dict[str, list[dict[Term, list[tuple[Term, ...]]]]] = {}
+        self._maps: dict[str, _PositionMaps] = {}
         self._constants: frozenset[Constant] | None = None
 
     @classmethod
@@ -381,68 +471,31 @@ class Database:
             for args in self.relation(predicate)
         }
 
-    def _position_maps(
-        self, predicate: str
-    ) -> list[dict[Term, list[tuple[Term, ...]]]]:
-        """Lazy per-argument-position maps ``constant -> rows``.
+    def _position_maps(self, predicate: str) -> _PositionMaps:
+        """The stored rows' per-argument-position maps for
+        ``predicate``, built on first use (:func:`index_rows`) and
+        shared by every interpretation over this database.
 
-        Sized to the largest arity stored under the predicate; rows
-        shorter than a position simply do not appear in that position's
-        map, which is correct because matching requires equal arity.
+        Built into a local and published whole: server threads read one
+        database concurrently, and a reader must never see a partial
+        map.
         """
         maps = self._maps.get(predicate)
         if maps is None:
-            maps = []
-            for args in self._index.get(predicate, ()):
-                if len(args) > len(maps):
-                    maps.extend({} for _ in range(len(args) - len(maps)))
-                for position, value in enumerate(args):
-                    maps[position].setdefault(value, []).append(args)
+            maps = index_rows([], self._index.get(predicate, ()))
             self._maps[predicate] = maps
         return maps
 
     def matches(
         self, pattern: Atom, binding: Optional[Substitution] = None
     ) -> Iterator[Substitution]:
-        """Enumerate extensions of ``binding`` matching ``pattern``.
-
-        Mirrors :meth:`repro.engine.interpretation.Interpretation.matches`
-        so engines can join rule premises directly against the stored
-        facts.  Ground patterns are decided by set membership; patterns
-        with bound positions probe the position maps and scan only the
-        narrowest candidate list.
-        """
+        """Enumerate extensions of ``binding`` matching ``pattern``
+        against the stored facts (:func:`match_layers` over one layer),
+        so engines can join rule premises directly against them."""
         rows = self._index.get(pattern.predicate)
         if not rows:
-            return
-        pattern_args = pattern.substitute(binding).args if binding else pattern.args
-        bound = [
-            (position, value)
-            for position, value in enumerate(pattern_args)
-            if not isinstance(value, Variable)
-        ]
-        if len(bound) == len(pattern_args):
-            if pattern_args in rows:
-                yield dict(binding) if binding else {}
-            return
-        candidates: Iterable[tuple[Term, ...]] = rows
-        if bound and len(rows) >= _INDEX_MIN_ROWS:
-            maps = self._position_maps(pattern.predicate)
-            best: Optional[list[tuple[Term, ...]]] = None
-            for position, value in bound:
-                if position >= len(maps):
-                    return
-                found = maps[position].get(value)
-                if found is None:
-                    return
-                if best is None or len(found) < len(best):
-                    best = found
-            if best is not None:
-                candidates = best
-        for ground_args in candidates:
-            extended = match_args(pattern_args, ground_args, binding)
-            if extended is not None:
-                yield extended
+            return iter(())
+        return match_layers(pattern, binding, ((rows, self._position_maps),))
 
     def has_match(
         self, pattern: Atom, binding: Optional[Substitution] = None

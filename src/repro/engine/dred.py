@@ -68,9 +68,9 @@ from ..core.database import Database
 from ..core.errors import EvaluationError
 from ..core.terms import Atom, Constant, Term
 from ..core.unify import Substitution, match_args
-from .body import nonlocal_variables, satisfy_body
+from .body import satisfy_body
 from .budget import NULL_BUDGET
-from .delta import delta_sources, rule_firings
+from .delta import Layer, rule_firings
 from .interpretation import Interpretation
 
 __all__ = [
@@ -172,8 +172,9 @@ def _no_hypothetical(premise, current):
 
 
 def patch_stratum(
-    rules: tuple[Rule, ...],
+    layer: Layer,
     predicates: frozenset[str],
+    relevant: frozenset[str],
     old: Interpretation,
     interp: Interpretation,
     db_new: Database,
@@ -196,25 +197,15 @@ def patch_stratum(
     atom, and afterwards diff ``deleted`` against the closed ``interp``
     to see which deletions stuck.
 
+    ``layer`` is the stratum's closure prep (its rules' head variables,
+    guards and delta sources, built once by the engine), and
+    ``relevant`` the predicates its rules read or define.
     ``removed``/``added`` map predicates to the net atom-level changes
     accumulated from the EDB diff and the lower strata.  ``old`` is the
     pre-change model, read in place.  ``plan`` (see
     :func:`~repro.engine.body.satisfy_body`) orders the joins of both
     passes.
     """
-    reads: set[str] = set()
-    prep = []
-    for item in rules:
-        reads.update(premise.goal.predicate for premise in item.body)
-        prep.append(
-            (
-                item,
-                set(item.head.variables()),
-                nonlocal_variables(item),
-                delta_sources(item),
-            )
-        )
-    relevant = reads | predicates
 
     # Everything already known to be gone: retracted EDB facts of this
     # stratum's own predicates, and lower-stratum/EDB removals start
@@ -241,7 +232,7 @@ def patch_stratum(
         if governed:
             budget.poll("dred.round")
         candidates: list[Atom] = []
-        for item, head_variables, guards, sources in prep:
+        for item, head_variables, guards, sources, _full in layer.infos:
             for target in sources:
                 if not frontier.count(target.goal.predicate):
                     continue
@@ -291,13 +282,13 @@ def patch_stratum(
 
     # -- re-derive: alternative support against the surviving state ----
     definitions: dict[str, list] = {}
-    for entry in prep:
+    for entry in layer.infos:
         definitions.setdefault(entry[0].head.predicate, []).append(entry)
     seed = Interpretation()
     for item in sorted(deleted, key=str):
         if governed:
             budget.poll("dred.rederive")
-        for rule, _head_variables, guards, _sources in definitions.get(
+        for rule, _head_variables, guards, *_rest in definitions.get(
             item.predicate, ()
         ):
             binding = match_args(rule.head.args, item.args)
@@ -339,24 +330,35 @@ def patch_stratum(
 class DredDriver:
     """Patches one engine's models stratum by stratum.
 
-    Built once per engine over its negation strata (``layer_rules`` and
-    ``layer_predicates``, bottom-up).  It classifies each stratum once
-    (:func:`stratum_reads`, :func:`stratum_incremental`) and counts its
-    work in the engine's registry: ``dred.models_patched``,
+    Built once per engine over its negation strata (``layers``, the
+    engine's closure prep, and ``layer_predicates``, bottom-up).  It
+    classifies each stratum once (:func:`stratum_reads`,
+    :func:`stratum_incremental`) and counts its work in the engine's
+    registry: ``dred.models_patched``,
     ``dred.strata_skipped``/``_incremental``/``_recomputed`` and
     :func:`patch_stratum`'s :class:`DredInstruments`.
     """
 
     def __init__(
         self,
-        layer_rules: Sequence[tuple[Rule, ...]],
+        layers: Sequence[Layer],
         layer_predicates: Sequence[frozenset[str]],
         metrics,
     ) -> None:
-        self._strata = [
-            (rules, predicates, stratum_reads(rules), stratum_incremental(rules))
-            for rules, predicates in zip(layer_rules, layer_predicates)
-        ]
+        # Per stratum: its prep, the predicates it defines, the ones it
+        # reads or defines (None: any change touches it) and whether
+        # it is patched in place.
+        self._strata = []
+        for layer, predicates in zip(layers, layer_predicates):
+            reads = stratum_reads(layer.rules)
+            self._strata.append(
+                (
+                    layer,
+                    predicates,
+                    None if reads is None else reads | predicates,
+                    stratum_incremental(layer.rules),
+                )
+            )
         counter = metrics.counter
         self._n_patched = counter("dred.models_patched")
         self._n_skipped = counter("dred.strata_skipped")
@@ -422,7 +424,8 @@ class DredDriver:
         fresh_from = min(source.closed_layers, len(self._strata))
 
         def patch(index: int) -> None:
-            rules, predicates, reads, incremental = self._strata[index]
+            layer, predicates, relevant, incremental = self._strata[index]
+            rules = layer.rules
             if index >= fresh_from:
                 # The source never closed this stratum; nothing to
                 # patch against.  (Only live parents end here — a
@@ -431,9 +434,9 @@ class DredDriver:
                     close(index)
                 self._n_recomputed.value += 1
                 return
-            touched = reads is None or any(
+            touched = relevant is None or any(
                 removed_acc.get(predicate) or added_acc.get(predicate)
-                for predicate in (reads | predicates)
+                for predicate in relevant
             )
             if not touched:
                 if rules:
@@ -448,8 +451,9 @@ class DredDriver:
                 return
             if incremental:
                 deleted, seed = patch_stratum(
-                    rules,
+                    layer,
                     predicates,
+                    relevant,
                     old,
                     interp,
                     db,
@@ -478,10 +482,10 @@ class DredDriver:
                     Atom(predicate, args) for args in new_rows - old_rows
                 }
 
-        for index, (rules, *_rest) in enumerate(self._strata):
+        for index, (layer, *_rest) in enumerate(self._strata):
             if tracer.enabled:
                 with tracer.span(
-                    "stratum", str(index), args={"rules": len(rules)}
+                    "stratum", str(index), args={"rules": len(layer.rules)}
                 ):
                     patch(index)
             else:

@@ -411,24 +411,18 @@ class GoalDirectedEngine(GovernedEngine):
         self, db: Database, pattern: Atom, binding: Substitution
     ) -> Iterator[Substitution]:
         """Bindings making a positive premise hold at ``db``: stored
-        rows first, then derived instances, read from a Δ model or
-        decided per grounding over the domain."""
+        rows first, then derived instances, decided per grounding over
+        the domain.  A Δ predicate is read from its Δ model alone,
+        which holds ``db``'s rows before its derived ones."""
+        stratum = self._delta_strata.get(pattern.predicate)
+        if stratum is not None:
+            yield from self._delta_model(stratum, db).matches(pattern, binding)
+            return
         seen: set[tuple] = set()
         variables = list(dict.fromkeys(pattern.variables()))
         for extended in db.matches(pattern, binding):
-            signature = tuple(extended.get(var) for var in variables)
-            if signature not in seen:
-                seen.add(signature)
-                yield extended
-        stratum = self._delta_strata.get(pattern.predicate)
-        if stratum is not None:
-            model = self._delta_model(stratum, db)
-            for extended in model.matches(pattern, binding):
-                signature = tuple(extended.get(var) for var in variables)
-                if signature not in seen:
-                    seen.add(signature)
-                    yield extended
-            return
+            seen.add(tuple(extended.get(var) for var in variables))
+            yield extended
         if not self._rulebase.definition(pattern.predicate):
             return
         unbound = [var for var in variables if var not in binding]

@@ -5,17 +5,23 @@ such a set with a per-predicate index and the matching operation that
 drives rule-body joins: given a pattern atom and a partial binding,
 enumerate the bindings that extend it to match some stored fact.
 
-Two things make this the engines' hot path and shape the design:
+An interpretation is a :class:`~repro.core.database.Database` plus
+derived rows, which is Definition 3's reading of a bottom-up model at
+``DB``:
 
 * Interpretations are constantly built *over a database* (one per
-  lattice node in hypothetical evaluation).  Construction from a
-  :class:`~repro.core.database.Database` shares the database's
-  per-predicate index as an immutable base layer in O(1); derived
-  atoms go into a mutable overlay on top.
-* ``matches`` carries a ground fast path (set membership instead of a
-  scan) and lazy per-(predicate, argument-position) hash maps used to
-  narrow candidate rows when the pattern has bound positions.  The
-  maps are maintained incrementally on :meth:`add`.
+  lattice node in hypothetical evaluation).  Construction holds the
+  database itself in O(1); derived atoms go into a mutable layer on
+  top, kept disjoint from the database's rows.  An interpretation
+  built from atoms sits over one shared empty database.
+* ``matches`` runs the database's matcher
+  (:func:`~repro.core.database.match_layers`) over both layers,
+  database rows first.  The database's rows are indexed by the
+  database's own position maps, built once and shared by every
+  interpretation over it; an interpretation indexes only its derived
+  rows (:func:`~repro.core.database.index_rows`), from its first
+  indexed match of a predicate on, and :meth:`add` keeps those maps
+  current.
 
 The optional ``probes`` attribute is a bound
 :class:`~repro.obs.metrics.Counter` (``interp.index_probes``)
@@ -25,21 +31,22 @@ incremented whenever a fast path answers a match query.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
-from ..core.database import _INDEX_MIN_ROWS, Database
-from ..core.terms import Atom, Term, Variable
-from ..core.unify import Substitution, match_args
+from ..core.database import Database, index_rows, match_layers
+from ..core.terms import Atom, Term
+from ..core.unify import Substitution
 
 __all__ = ["Interpretation"]
 
-_Rows = frozenset
+# The database under every interpretation built from atoms.
+_EMPTY = Database()
 
 
 class Interpretation:
     """A mutable set of ground atoms, indexed by predicate."""
 
-    __slots__ = ("_base", "_added", "_size", "_maps", "probes")
+    __slots__ = ("_db", "_base", "_added", "_size", "_maps", "probes")
 
     def __init__(
         self,
@@ -53,18 +60,21 @@ class Interpretation:
         computed it); the new interpretation then shares it, and is a
         view of that model that must not be added to.
         """
+        # Position maps of the derived rows only, by predicate.
         self._maps: dict[str, list[dict[Term, list[tuple[Term, ...]]]]] = {}
         self.probes = None
+        # ``_base`` is the database's own index, read inline on the hot
+        # paths; an interpretation never writes it.
         if isinstance(facts, Database):
-            # The database's own index, shared rather than copied: an
-            # interpretation never writes its base layer.
-            self._base: Mapping[str, frozenset[tuple[Term, ...]]] = facts._index
+            self._db = facts
+            self._base = facts._index
             self._added: dict[str, set[tuple[Term, ...]]] = (
                 overlay if overlay is not None else {}
             )
             self._size = len(facts) + sum(map(len, self._added.values()))
         else:
-            self._base = {}
+            self._db = _EMPTY
+            self._base = _EMPTY._index
             self._added = {}
             self._size = 0
             for item in facts:
@@ -85,10 +95,7 @@ class Interpretation:
         self._size += 1
         maps = self._maps.get(predicate)
         if maps is not None:
-            if len(args) > len(maps):
-                maps.extend({} for _ in range(len(args) - len(maps)))
-            for position, value in enumerate(args):
-                maps[position].setdefault(value, []).append(args)
+            index_rows(maps, (args,))
         return True
 
     def add_rows(self, predicate: str, rows: Iterable[tuple[Term, ...]]) -> int:
@@ -111,10 +118,7 @@ class Interpretation:
             mine.add(args)
             added += 1
             if maps is not None:
-                if len(args) > len(maps):
-                    maps.extend({} for _ in range(len(args) - len(maps)))
-                for position, value in enumerate(args):
-                    maps[position].setdefault(value, []).append(args)
+                index_rows(maps, (args,))
         self._size += added
         return added
 
@@ -194,92 +198,35 @@ class Interpretation:
     def _position_maps(
         self, predicate: str
     ) -> list[dict[Term, list[tuple[Term, ...]]]]:
-        """Build (and cache) per-argument-position maps for a predicate.
-
-        Sized to the largest arity stored; rows shorter than a position
-        do not appear in that position's map, which is correct because
-        matching requires equal arity.  :meth:`add` keeps cached maps
-        current.
-        """
+        """The derived rows' per-argument-position maps for
+        ``predicate``, built (and cached) on first use; :meth:`add` and
+        :meth:`add_rows` keep cached maps current.  The database's rows
+        are indexed by the database."""
         maps = self._maps.get(predicate)
         if maps is None:
-            maps = []
-            for source in (self._base.get(predicate), self._added.get(predicate)):
-                if not source:
-                    continue
-                for args in source:
-                    if len(args) > len(maps):
-                        maps.extend({} for _ in range(len(args) - len(maps)))
-                    for position, value in enumerate(args):
-                        maps[position].setdefault(value, []).append(args)
-            self._maps[predicate] = maps
+            maps = self._maps[predicate] = index_rows(
+                [], self._added.get(predicate, ())
+            )
         return maps
 
     def matches(
         self, pattern: Atom, binding: Optional[Substitution] = None
     ) -> Iterator[Substitution]:
-        """Enumerate extensions of ``binding`` matching ``pattern``.
+        """Enumerate extensions of ``binding`` matching ``pattern``:
+        the database's rows, then the derived rows
+        (:func:`~repro.core.database.match_layers`).
 
         Each yielded substitution is an independent dict extending
         ``binding``; the pattern grounded by it is a stored fact.
-        Ground patterns are decided by set membership; patterns with
-        bound positions probe the position maps and scan only the
-        narrowest candidate list.
         """
         predicate = pattern.predicate
         base = self._base.get(predicate)
         added = self._added.get(predicate)
         if not base and not added:
-            return
-        pattern_args = (
-            pattern.substitute(binding).args if binding else pattern.args
-        )
-        bound = [
-            (position, value)
-            for position, value in enumerate(pattern_args)
-            if not isinstance(value, Variable)
-        ]
-        if len(bound) == len(pattern_args):
-            probes = self.probes
-            if probes is not None:
-                probes.value += 1
-            if (base is not None and pattern_args in base) or (
-                added is not None and pattern_args in added
-            ):
-                yield dict(binding) if binding else {}
-            return
-        if bound:
-            total = (len(base) if base else 0) + (len(added) if added else 0)
-            if total >= _INDEX_MIN_ROWS:
-                maps = self._position_maps(predicate)
-                best: Optional[list[tuple[Term, ...]]] = None
-                for position, value in bound:
-                    if position >= len(maps):
-                        return
-                    found = maps[position].get(value)
-                    if found is None:
-                        return
-                    if best is None or len(found) < len(best):
-                        best = found
-                probes = self.probes
-                if probes is not None:
-                    probes.value += 1
-                if best is not None:
-                    for ground_args in best:
-                        extended = match_args(pattern_args, ground_args, binding)
-                        if extended is not None:
-                            yield extended
-                    return
-        if base is not None:
-            for ground_args in base:
-                extended = match_args(pattern_args, ground_args, binding)
-                if extended is not None:
-                    yield extended
-        if added is not None:
-            for ground_args in added:
-                extended = match_args(pattern_args, ground_args, binding)
-                if extended is not None:
-                    yield extended
+            return iter(())
+        derived = (added or (), self._position_maps)
+        layers = ((base, self._db._position_maps), derived) if base else (derived,)
+        return match_layers(pattern, binding, layers, self.probes)
 
     def has_match(
         self, pattern: Atom, binding: Optional[Substitution] = None

@@ -736,29 +736,29 @@ class KernelRun:
 
     # -- generated-code accessors --------------------------------------
 
+    def _make_view(self, source, predicate: str) -> RelationView:
+        """An int-space view of ``source``'s relation: its database rows
+        encoded once per relation version by the column store, its
+        derived rows snapshotted."""
+        base_rows, overlay_rows = source.layers(predicate)
+        store = self.program.store
+        encode = store.symbols.encode_args
+        return RelationView(
+            store.encoded(base_rows) if base_rows else None,
+            [encode(args) for args in overlay_rows] if overlay_rows else (),
+        )
+
     def view(self, predicate: str) -> RelationView:
         found = self._views.get(predicate)
         if found is None:
-            base_rows, overlay_rows = self.interp.layers(predicate)
-            store = self.program.store
-            base = store.encoded(base_rows) if base_rows else None
-            encode = store.symbols.encode_args
-            found = self._views[predicate] = RelationView(
-                base,
-                [encode(args) for args in overlay_rows] if overlay_rows else (),
-            )
+            found = self._views[predicate] = self._make_view(self.interp, predicate)
         return found
 
     def _dview(self, predicate: str) -> RelationView:
         found = self._delta_views.get(predicate)
         if found is None:
-            base_rows, overlay_rows = self._delta.layers(predicate)
-            store = self.program.store
-            base = store.encoded(base_rows) if base_rows else None
-            encode = store.symbols.encode_args
-            found = self._delta_views[predicate] = RelationView(
-                base,
-                [encode(args) for args in overlay_rows] if overlay_rows else (),
+            found = self._delta_views[predicate] = self._make_view(
+                self._delta, predicate
             )
         return found
 

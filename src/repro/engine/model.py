@@ -427,7 +427,7 @@ class PerfectModelEngine(GovernedEngine):
         self._n_probes = counter("interp.index_probes")
         self._n_magic = counter("demand.magic_facts")
         self._dred = DredDriver(
-            self._layer_rules, self._layer_predicates, self.metrics
+            self._layers, self._layer_predicates, self.metrics
         )
         self._h_model_size = self.metrics.histogram("model.model_size")
         self._h_atoms_seeded = self.metrics.histogram("model.atoms_seeded")

@@ -23,6 +23,8 @@ from repro.core.database import Database
 from repro.core.errors import EvaluationError
 from repro.core.parser import parse_rule
 from repro.core.terms import Atom, Constant, Variable
+from repro.core.unify import match
+from repro.engine.interpretation import Interpretation
 from repro.engine.model import PerfectModelEngine
 from repro.engine.prove import LinearStratifiedProver
 from repro.engine.topdown import TopDownEngine
@@ -62,6 +64,28 @@ def atoms(draw, max_arity=2, ground=False):
 def ground_databases(draw):
     facts = draw(st.lists(atoms(ground=True), max_size=12))
     return Database(facts)
+
+
+@st.composite
+def relation_rows(draw, ragged=False):
+    """Up to 30 rows of one relation: binary, or of ragged arity."""
+    arity = st.sampled_from([1, 2, 2, 2, 3]) if ragged else st.just(2)
+    return draw(
+        st.lists(
+            arity.flatmap(lambda n: st.tuples(*[constants] * n)), max_size=30
+        )
+    )
+
+
+@st.composite
+def layered_patterns(draw):
+    """Patterns over ``r`` (arity 0-3, constants and repeatable
+    variables) or the 0-ary ``z``."""
+    if draw(st.integers(0, 5)) == 0:
+        return Atom("z", ())
+    arity = draw(st.integers(0, 3))
+    pool = st.one_of(constants, variables)
+    return Atom("r", tuple(draw(pool) for _ in range(arity)))
 
 
 @st.composite
@@ -123,6 +147,63 @@ class TestMatching:
             grounded = pattern.substitute(binding)
             assert grounded.is_ground
             assert grounded in db
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        relation_rows(ragged=True),
+        relation_rows(),
+        relation_rows(),
+        st.sampled_from(["database", "derived", None]),
+        layered_patterns(),
+        st.data(),
+    )
+    def test_an_interpretation_matches_what_a_flat_atom_set_matches(
+        self, stored, early, late, nullary, pattern, data
+    ):
+        # Relations of 0-30 rows per layer take both the scan and the
+        # position-map path (8 rows and up); the late rows arrive after
+        # the interpretation's first (possibly indexed) match.
+        facts = [Atom("r", args) for args in stored]
+        if nullary == "database":
+            facts.append(Atom("z", ()))
+        db = Database(facts)
+        interp = Interpretation(db)
+        interp.update(Atom("r", args) for args in early)
+        if nullary == "derived":
+            interp.add(Atom("z", ()))
+        binding = {
+            var: data.draw(constants)
+            for var in dict.fromkeys(pattern.variables())
+            if data.draw(st.booleans())
+        }
+        for more in ((), late):
+            interp.update(Atom("r", args) for args in more)
+            found = list(interp.matches(pattern, binding))
+            assert _multiset(found) == _multiset(
+                _flat_matches(interp, pattern, binding)
+            )
+            stored_first = [pattern.substitute(b) in db for b in found]
+            assert stored_first == sorted(stored_first, reverse=True)
+            assert _multiset(db.matches(pattern, binding)) == _multiset(
+                _flat_matches(db, pattern, binding)
+            )
+
+
+def _flat_matches(atoms_, pattern, binding):
+    """A brute-force match of ``pattern`` against every atom."""
+    found = (match(pattern, item, binding) for item in atoms_)
+    return [extended for extended in found if extended is not None]
+
+
+def _multiset(bindings):
+    return sorted(
+        tuple(sorted((var.name, str(value)) for var, value in b.items()))
+        for b in bindings
+    )
 
 
 # ----------------------------------------------------------------------
